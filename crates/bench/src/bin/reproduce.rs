@@ -12,18 +12,15 @@
 //! `--threads N` shards every mesh engine across N workers (default:
 //! available parallelism). The tables are byte-identical for every
 //! value — the CI determinism matrix diffs selected tables across
-//! `--threads 1/2/8` to prove it; only T16's wall-clock columns vary.
+//! `--threads 1/2/8` to prove it; only the wall-clock columns of
+//! T16, T18 and T19 vary.
 //!
 //! `--sorter shearsort|columnsort` selects the mesh sorter behind every
 //! sort phase (default: columnsort). The CI sorter matrix regenerates
 //! T2/T17 under both and diffs each against its committed golden.
 //!
-//! `--ctx fresh|reused` selects whether simulations renew their pooled
-//! execution state (engines, worker threads, sort memo) at every step
-//! boundary (`fresh`, the seed's cold-start behavior) or keep it warm
-//! across steps (`reused`, the default). The tables are byte-identical
-//! either way — only wall-clock changes — and the CI determinism matrix
-//! diffs selected tables across both modes to prove it.
+//! Both flags are parsed here once and passed to every table builder
+//! as arguments; nothing is configured through process-wide state.
 //!
 //! Whenever T17 runs, its data is also written to `BENCH_sorters.json`
 //! (machine-readable step counts per sorter per `n`); T18 likewise
@@ -36,32 +33,24 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut args: Vec<String> = Vec::new();
     let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut sorter = prasim_sortnet::Sorter::default();
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
         if a == "--threads" {
-            let v = it
+            threads = it
                 .next()
                 .and_then(|v| v.parse::<usize>().ok())
                 .filter(|&t| t > 0)
                 .expect("--threads needs a positive integer");
-            threads = v;
         } else if a == "--sorter" {
-            let s: prasim_sortnet::Sorter = it
+            sorter = it
                 .next()
                 .and_then(|v| v.parse().ok())
                 .expect("--sorter needs shearsort|columnsort");
-            prasim_sortnet::set_global_sorter(s);
-        } else if a == "--ctx" {
-            let m = it
-                .next()
-                .and_then(|v| prasim_exec::ExecMode::parse(&v))
-                .expect("--ctx needs fresh|reused");
-            prasim_exec::set_global_exec_mode(m);
         } else {
             args.push(a);
         }
     }
-    prasim_mesh::engine::set_global_threads(threads);
 
     let quick = args.iter().any(|a| a == "quick");
     let full = args.iter().any(|a| a == "full");
@@ -95,21 +84,21 @@ fn main() {
 
     let mut out: Vec<Table> = Vec::new();
     if want("T1") {
-        out.push(tables::t1_slowdown(&t1_sizes, 2, false));
-        out.push(tables::t1_slowdown(&t1_sizes, 2, true));
+        out.push(tables::t1_slowdown(&t1_sizes, 2, false, threads, sorter));
+        out.push(tables::t1_slowdown(&t1_sizes, 2, true, threads, sorter));
     }
     if want("T2") {
-        out.push(tables::t2_routing(&t2_ns, &[1, 2, 4]));
+        out.push(tables::t2_routing(&t2_ns, &[1, 2, 4], threads, sorter));
     }
     if want("T3") {
-        out.push(tables::t3_hierarchical(&t3_ns, 1));
+        out.push(tables::t3_hierarchical(&t3_ns, 1, threads, sorter));
     }
     if want("T4") {
         let (n, d) = if quick { (1024, 5) } else { (4096, 6) };
-        out.push(tables::t4_culling_bounds(n, d, 2));
+        out.push(tables::t4_culling_bounds(n, d, 2, threads, sorter));
     }
     if want("T5") {
-        out.push(tables::t5_culling_time(&t1_sizes, 2));
+        out.push(tables::t5_culling_time(&t1_sizes, 2, threads, sorter));
     }
     if want("T6") {
         out.push(tables::t6_bibd_balance());
@@ -127,27 +116,35 @@ fn main() {
     if want("T9") {
         let n = if quick { 1024 } else { 4096 };
         let d = 5;
-        out.push(tables::t9_redundancy(n, d, &[1, 2, 3]));
+        out.push(tables::t9_redundancy(n, d, &[1, 2, 3], threads, sorter));
     }
     if want("T10") {
-        out.push(tables::t10_baselines(1024));
+        out.push(tables::t10_baselines(1024, threads, sorter));
     }
     if want("T11") {
-        out.push(tables::t11_consistency(if quick { 10 } else { 40 }));
+        out.push(tables::t11_consistency(
+            if quick { 10 } else { 40 },
+            threads,
+            sorter,
+        ));
     }
     if want("T12") {
         // Fixed seed: the fault sweep is byte-identical across runs.
-        out.push(tables::t12_fault_sweep(1024, 5, 0xFA17));
+        out.push(tables::t12_fault_sweep(1024, 5, 0xFA17, threads, sorter));
     }
     if want("T13") {
-        out.push(tables::t13_slack_ablation(1024, 5));
+        out.push(tables::t13_slack_ablation(1024, 5, threads, sorter));
     }
     if want("T14") {
-        out.push(tables::t14_q_sweep(if quick { 1024 } else { 4096 }));
+        out.push(tables::t14_q_sweep(
+            if quick { 1024 } else { 4096 },
+            threads,
+            sorter,
+        ));
     }
     if want("T15") {
         let (n, d) = if quick { (1024, 5) } else { (4096, 6) };
-        out.push(tables::t15_stage_deltas(n, d, 2));
+        out.push(tables::t15_stage_deltas(n, d, 2, threads, sorter));
     }
     if want("T16") {
         // Wall-clock columns vary run to run; everything else in the
@@ -171,22 +168,23 @@ fn main() {
         // a fresh ExecCtx per step vs one warm context. Wall-clock columns
         // vary run to run; steps/delivered/queue are deterministic.
         let (n, ppn, reps) = if quick { (1024, 8, 6) } else { (4096, 16, 8) };
-        let (table, json) = tables::t18_context_reuse(n, ppn, reps);
+        let (table, json) = tables::t18_context_reuse(n, ppn, reps, threads, sorter);
         out.push(table);
         std::fs::write("BENCH_exec.json", json).expect("write BENCH_exec.json");
     }
     if want("T19") {
-        // Arena vs legacy engine throughput, 16×16 → 128×128 at 1 and 8
-        // threads. Wall-clock columns (steps/s, speedup) vary run to
-        // run; sort/route/delivered/queue are deterministic and the two
-        // engines' stats are asserted equal inside the table builder.
+        // Arena vs legacy engine throughput, 16×16 → 128×128, both
+        // sequential, plus the arena at `--threads`. Wall-clock columns
+        // (steps/s, speedup) vary run to run; sort/route/delivered/queue
+        // are deterministic and every run's stats are asserted equal
+        // inside the table builder.
         let t19_ns: Vec<u64> = if quick {
             vec![256, 1024, 4096]
         } else {
             vec![256, 1024, 4096, 16384]
         };
         let reps = if quick { 2 } else { 5 };
-        let (table, json) = tables::t19_engine_throughput(&t19_ns, 16, reps);
+        let (table, json) = tables::t19_engine_throughput(&t19_ns, 16, reps, threads, sorter);
         out.push(table);
         std::fs::write("BENCH_engine.json", json).expect("write BENCH_engine.json");
     }

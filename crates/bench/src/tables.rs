@@ -4,16 +4,19 @@
 use crate::fit::{power_fit, r_squared};
 use prasim_bibd::{input_count, verify, Bibd, BibdSubgraph};
 use prasim_core::baseline::{BaselineScheme, FlatHmosSim, MehlhornVishkinSim, SingleCopySim};
+use prasim_core::culling::cull_with;
 use prasim_core::sim::{eq8_bound, theorem1_exponent};
 use prasim_core::{workload, PramMeshSim, PramStep, SimConfig};
+use prasim_exec::ExecCtx;
 use prasim_hmos::{Hmos, HmosParams};
 use prasim_mesh::region::{Rect, Tessellation};
 use prasim_mesh::topology::MeshShape;
 use prasim_routing::cost::{hierarchical_bound, theorem2_bound};
-use prasim_routing::flat::route_flat;
-use prasim_routing::greedy::route_greedy;
-use prasim_routing::hierarchical::route_hierarchical;
+use prasim_routing::flat::route_flat_ctx;
+use prasim_routing::greedy::route_greedy_ctx;
+use prasim_routing::hierarchical::route_hierarchical_ctx;
 use prasim_routing::problem::{RoutingInstance, SplitMix64};
+use prasim_sortnet::Sorter;
 
 /// A rendered experiment table.
 #[derive(Debug, Clone)]
@@ -49,6 +52,14 @@ impl Table {
     }
 }
 
+/// A simulator configuration on `threads` engine workers and `sorter`
+/// (results never depend on `threads`).
+fn sim_config(n: u64, memory: u64, threads: usize, sorter: Sorter) -> SimConfig {
+    SimConfig::new(n, memory)
+        .with_threads(threads)
+        .with_sorter(sorter)
+}
+
 fn f(x: f64) -> String {
     if x >= 100.0 {
         format!("{x:.0}")
@@ -60,7 +71,13 @@ fn f(x: f64) -> String {
 /// **T1 (Theorem 1/4).** Full-simulation slowdown versus mesh size with
 /// `α` held roughly constant by scaling `d` with `n`; exponent fit
 /// against the paper's bound and the `Ω(√n)` diameter floor.
-pub fn t1_slowdown(sizes: &[(u64, u32)], k: u32, analytic: bool) -> Table {
+pub fn t1_slowdown(
+    sizes: &[(u64, u32)],
+    k: u32,
+    analytic: bool,
+    threads: usize,
+    sorter: Sorter,
+) -> Table {
     let mut rows = Vec::new();
     let mut rand_pts = Vec::new();
     let mut adv_pts = Vec::new();
@@ -70,7 +87,7 @@ pub fn t1_slowdown(sizes: &[(u64, u32)], k: u32, analytic: bool) -> Table {
         let alpha = params.alpha();
         alphas.push(alpha);
         let mut sim = PramMeshSim::new(
-            SimConfig::new(n, params.num_variables)
+            sim_config(n, params.num_variables, threads, sorter)
                 .with_k(k)
                 .with_analytic_sort(analytic),
         )
@@ -101,7 +118,6 @@ pub fn t1_slowdown(sizes: &[(u64, u32)], k: u32, analytic: bool) -> Table {
             "fit (random): T ≈ {:.1}·n^{:.3} (R² = {:.3}); fit (adversarial): T ≈ {:.1}·n^{:.3} (R² = {:.3})",
             cr, er, r_squared(&rand_pts, er, cr), ca, ea, r_squared(&adv_pts, ea, ca)
         ));
-        let sorter = prasim_sortnet::default_sorter();
         notes.push(format!(
             "paper exponent at mean α = {:.3}, k = {}: {:.3}; diameter floor exponent: 0.500 \
              ({})",
@@ -112,11 +128,11 @@ pub fn t1_slowdown(sizes: &[(u64, u32)], k: u32, analytic: bool) -> Table {
                 "sorting charged at the paper's l·√n bound".to_string()
             } else {
                 match sorter {
-                    prasim_sortnet::Sorter::Shearsort => {
+                    Sorter::Shearsort => {
                         "measured exponents include the shearsort log factor — DESIGN.md §4"
                             .to_string()
                     }
-                    prasim_sortnet::Sorter::Columnsort => {
+                    Sorter::Columnsort => {
                         "measured with the step-simulated columnsort — no log-factor caveat, \
                          DESIGN.md §4"
                             .to_string()
@@ -132,7 +148,7 @@ pub fn t1_slowdown(sizes: &[(u64, u32)], k: u32, analytic: bool) -> Table {
             if analytic {
                 " (analytic sort accounting — the paper's cost model)".to_string()
             } else {
-                format!(" (measured {})", prasim_sortnet::default_sorter())
+                format!(" (measured {sorter})")
             }
         ),
         header: [
@@ -154,7 +170,7 @@ pub fn t1_slowdown(sizes: &[(u64, u32)], k: u32, analytic: bool) -> Table {
 
 /// **T2 (Theorem 2).** Flat `(l1, l2)`-routing measured steps against
 /// the `√(l1·l2·n) + l1·√n` bound.
-pub fn t2_routing(ns: &[u64], l1s: &[u64]) -> Table {
+pub fn t2_routing(ns: &[u64], l1s: &[u64], threads: usize, sorter: Sorter) -> Table {
     let mut rows = Vec::new();
     let mut notes = Vec::new();
     for &l1 in l1s {
@@ -163,7 +179,12 @@ pub fn t2_routing(ns: &[u64], l1s: &[u64]) -> Table {
             let shape = MeshShape::square_of(n).expect("square n");
             let inst = RoutingInstance::random(shape, l1, 7 + n + l1);
             let l2 = inst.l2();
-            let out = route_flat(&inst, 100_000_000).unwrap();
+            let out = route_flat_ctx(
+                &inst,
+                100_000_000,
+                &mut ExecCtx::new(threads, sorter, false),
+            )
+            .unwrap();
             let bound = theorem2_bound(l1, l2, n);
             pts.push((n as f64, out.total_steps as f64));
             rows.push(vec![
@@ -179,9 +200,9 @@ pub fn t2_routing(ns: &[u64], l1s: &[u64]) -> Table {
         }
         if ns.len() >= 2 {
             let (e, c) = power_fit(&pts);
-            let caveat = match prasim_sortnet::default_sorter() {
-                prasim_sortnet::Sorter::Shearsort => " up to the sort's log factor",
-                prasim_sortnet::Sorter::Columnsort => "",
+            let caveat = match sorter {
+                Sorter::Shearsort => " up to the sort's log factor",
+                Sorter::Columnsort => "",
             };
             notes.push(format!(
                 "l1 = {l1}: measured T ≈ {c:.2}·n^{e:.3} (theorem shape: n^0.5{caveat})"
@@ -211,7 +232,7 @@ pub fn t2_routing(ns: &[u64], l1s: &[u64]) -> Table {
 
 /// **T3 (Section 2).** Hierarchical `(l1, l2, δ, m)`-routing vs flat and
 /// greedy on receive-skewed instances, with the analytic bound ratio.
-pub fn t3_hierarchical(ns: &[u64], l1: u64) -> Table {
+pub fn t3_hierarchical(ns: &[u64], l1: u64, threads: usize, sorter: Sorter) -> Table {
     let mut rows = Vec::new();
     for &n in ns {
         let shape = MeshShape::square_of(n).expect("square n");
@@ -220,9 +241,10 @@ pub fn t3_hierarchical(ns: &[u64], l1: u64) -> Table {
         let inst = RoutingInstance::skewed_per_part(shape, &tess, l1, 11 + n);
         let (il1, il2, delta) = (inst.l1(), inst.l2(), inst.delta(&tess));
         let m = n / parts;
-        let greedy = route_greedy(&inst, 100_000_000).unwrap();
-        let flat = route_flat(&inst, 100_000_000).unwrap();
-        let hier = route_hierarchical(&inst, parts, 100_000_000).unwrap();
+        let mut ctx = ExecCtx::new(threads, sorter, false);
+        let greedy = route_greedy_ctx(&inst, 100_000_000, &mut ctx).unwrap();
+        let flat = route_flat_ctx(&inst, 100_000_000, &mut ctx).unwrap();
+        let hier = route_hierarchical_ctx(&inst, parts, 100_000_000, &mut ctx).unwrap();
         let fb = theorem2_bound(il1, il2, n);
         let hb = hierarchical_bound(il1, il2, delta, m, n);
         rows.push(vec![
@@ -265,7 +287,7 @@ pub fn t3_hierarchical(ns: &[u64], l1: u64) -> Table {
 
 /// **T4 (Theorem 3).** Post-culling page loads per level against the
 /// `4·q^k·n^{1-1/2^i}` bound, for adversarial and random request sets.
-pub fn t4_culling_bounds(n: u64, d: u32, k: u32) -> Table {
+pub fn t4_culling_bounds(n: u64, d: u32, k: u32, threads: usize, sorter: Sorter) -> Table {
     let params = HmosParams::with_d(3, k, n, d).expect("valid T4 configuration");
     let hmos = Hmos::new(params).unwrap();
     let active = n.min(hmos.num_variables());
@@ -286,7 +308,7 @@ pub fn t4_culling_bounds(n: u64, d: u32, k: u32) -> Table {
     ];
     for (name, vars) in workloads {
         let reqs: Vec<Option<u64>> = vars.into_iter().map(Some).collect();
-        let out = prasim_core::culling::cull(&hmos, &reqs, 1.0, false);
+        let out = cull_with(&hmos, &reqs, 1.0, &mut ExecCtx::new(threads, sorter, false));
         for it in &out.report.iterations {
             rows.push(vec![
                 name.to_string(),
@@ -323,7 +345,7 @@ pub fn t4_culling_bounds(n: u64, d: u32, k: u32) -> Table {
 
 /// **T5 (Eq. 2).** Culling time versus `√n` with the request count
 /// fixed: `T_culling ∈ O(k·q^k·√n)`.
-pub fn t5_culling_time(sizes: &[(u64, u32)], k: u32) -> Table {
+pub fn t5_culling_time(sizes: &[(u64, u32)], k: u32, threads: usize, sorter: Sorter) -> Table {
     let mut rows = Vec::new();
     let mut pts = Vec::new();
     for &(n, d) in sizes {
@@ -333,7 +355,7 @@ pub fn t5_culling_time(sizes: &[(u64, u32)], k: u32) -> Table {
         let vars = workload::random_distinct(active, hmos.num_variables(), 5);
         let mut reqs: Vec<Option<u64>> = vars.into_iter().map(Some).collect();
         reqs.resize(n as usize, None);
-        let out = prasim_core::culling::cull(&hmos, &reqs, 1.0, false);
+        let out = cull_with(&hmos, &reqs, 1.0, &mut ExecCtx::new(threads, sorter, false));
         pts.push((n as f64, out.report.total_steps as f64));
         rows.push(vec![
             n.to_string(),
@@ -345,9 +367,9 @@ pub fn t5_culling_time(sizes: &[(u64, u32)], k: u32) -> Table {
     let mut notes = Vec::new();
     if sizes.len() >= 2 {
         let (e, c) = power_fit(&pts);
-        let caveat = match prasim_sortnet::default_sorter() {
-            prasim_sortnet::Sorter::Shearsort => " + the shearsort log factor",
-            prasim_sortnet::Sorter::Columnsort => "",
+        let caveat = match sorter {
+            Sorter::Shearsort => " + the shearsort log factor",
+            Sorter::Columnsort => "",
         };
         notes.push(format!(
             "fit: T_culling ≈ {c:.2}·n^{e:.3} (Eq. 2 predicts exponent 0.5{caveat})"
@@ -499,7 +521,7 @@ pub fn t8_structure(configs: &[(u64, u32, u32)]) -> Table {
 
 /// **T9 (Theorem 4 proof).** Redundancy/time trade-off: vary `k` at
 /// fixed `n` and memory.
-pub fn t9_redundancy(n: u64, d: u32, ks: &[u32]) -> Table {
+pub fn t9_redundancy(n: u64, d: u32, ks: &[u32], threads: usize, sorter: Sorter) -> Table {
     let mut rows = Vec::new();
     for &k in ks {
         let params = match HmosParams::with_d(3, k, n, d) {
@@ -517,7 +539,8 @@ pub fn t9_redundancy(n: u64, d: u32, ks: &[u32]) -> Table {
         };
         let alpha = params.alpha();
         let mut sim =
-            PramMeshSim::new(SimConfig::new(n, params.num_variables).with_k(k)).expect("valid sim");
+            PramMeshSim::new(sim_config(n, params.num_variables, threads, sorter).with_k(k))
+                .expect("valid sim");
         let active = n.min(sim.num_variables());
         let vars = workload::multi_module_adversary(sim.hmos(), active, 0);
         let t = sim.step(&PramStep::reads(&vars)).unwrap().total_steps;
@@ -547,15 +570,24 @@ pub fn t9_redundancy(n: u64, d: u32, ks: &[u32]) -> Table {
 
 /// **T10 (Section 1).** Worst-case behaviour of the baselines vs the
 /// HMOS scheme.
-pub fn t10_baselines(n: u64) -> Table {
-    let mut sim = PramMeshSim::new(SimConfig::new(n, 9000)).expect("valid sim");
+pub fn t10_baselines(n: u64, threads: usize, sorter: Sorter) -> Table {
+    let mut sim = PramMeshSim::new(sim_config(n, 9000, threads, sorter)).expect("valid sim");
     let nv = sim.num_variables();
     // The single-copy scheme has no BIBD structure, so it gets the large
     // (n²-variable) memory its worst case needs: n variables that all
     // home on node 0.
-    let mut single = SingleCopySim::new(n, n * n).unwrap();
-    let mut mv = MehlhornVishkinSim::new(n, nv, 3).unwrap();
-    let mut flat = FlatHmosSim::new(3, 2, n, 9000).unwrap();
+    let mut single = SingleCopySim::new(n, n * n)
+        .unwrap()
+        .with_threads(threads)
+        .with_sorter(sorter);
+    let mut mv = MehlhornVishkinSim::new(n, nv, 3)
+        .unwrap()
+        .with_threads(threads)
+        .with_sorter(sorter);
+    let mut flat = FlatHmosSim::new(3, 2, n, 9000)
+        .unwrap()
+        .with_threads(threads)
+        .with_sorter(sorter);
 
     let uniform = workload::random_distinct(n.min(nv), nv, 7);
     let single_uniform = workload::random_distinct(n, n * n, 7);
@@ -648,11 +680,11 @@ pub fn t10_baselines(n: u64) -> Table {
 
 /// **T11 (Definition 2).** Randomized consistency audit: mixed programs
 /// against an ideal memory; counts agreeing reads.
-pub fn t11_consistency(programs: u64) -> Table {
+pub fn t11_consistency(programs: u64, threads: usize, sorter: Sorter) -> Table {
     let mut rng = SplitMix64(2024);
     let mut total_reads = 0u64;
     let mut agree = 0u64;
-    let mut sim = PramMeshSim::new(SimConfig::new(256, 100)).expect("valid sim");
+    let mut sim = PramMeshSim::new(sim_config(256, 100, threads, sorter)).expect("valid sim");
     let nv = sim.num_variables();
     let mut ideal = std::collections::HashMap::new();
     for _ in 0..programs {
@@ -726,7 +758,7 @@ pub fn t11_consistency(programs: u64) -> Table {
 /// are *detected* (unrecoverable), never silent. The freshest-timestamp
 /// rule, by contrast, is silently fooled by forged timestamps — the
 /// trace checker's `silent-wrong` column is the proof either way.
-pub fn t12_fault_sweep(n: u64, d: u32, seed: u64) -> Table {
+pub fn t12_fault_sweep(n: u64, d: u32, seed: u64, threads: usize, sorter: Sorter) -> Table {
     use prasim_core::ReadPolicy;
     use prasim_fault::{CopyFaultKind, FaultPlan};
     use prasim_hmos::TargetSpec;
@@ -769,9 +801,10 @@ pub fn t12_fault_sweep(n: u64, d: u32, seed: u64) -> Table {
     let mut rows = Vec::new();
     let mut baseline = 0.0f64;
     for (label, policy, per_var, dead, severed, lossy) in cases {
-        let mut sim =
-            PramMeshSim::new(SimConfig::new(n, params.num_variables).with_read_policy(policy))
-                .expect("valid sim");
+        let mut sim = PramMeshSim::new(
+            sim_config(n, params.num_variables, threads, sorter).with_read_policy(policy),
+        )
+        .expect("valid sim");
         let shape = sim.hmos().shape();
         let mut plan = FaultPlan::new(seed);
         if dead > 0 {
@@ -849,12 +882,12 @@ pub fn t12_fault_sweep(n: u64, d: u32, seed: u64) -> Table {
 /// **T15 (Eqs. 5, 6).** Per-stage packet loads δ_i of the access
 /// protocol against the paper's bounds: `δ_i ≤ 4·q^k·n^{1-1/2^i}/t_i`
 /// (Eq. 5) and `δ_0 ∈ O(q^k·min(√n, n^{α-1}))` (Eq. 6).
-pub fn t15_stage_deltas(n: u64, d: u32, k: u32) -> Table {
+pub fn t15_stage_deltas(n: u64, d: u32, k: u32, threads: usize, sorter: Sorter) -> Table {
     let params = HmosParams::with_d(3, k, n, d).expect("valid T15 configuration");
     let alpha = params.alpha();
     let qk = params.redundancy() as f64;
-    let mut sim =
-        PramMeshSim::new(SimConfig::new(n, params.num_variables).with_k(k)).expect("valid sim");
+    let mut sim = PramMeshSim::new(sim_config(n, params.num_variables, threads, sorter).with_k(k))
+        .expect("valid sim");
     let hmos_extents: Vec<(u64, u64)> = (1..=k).map(|i| sim.hmos().level_extents(i)).collect();
     let active = n.min(sim.num_variables());
     let mut rows = Vec::new();
@@ -912,14 +945,19 @@ pub fn t15_stage_deltas(n: u64, d: u32, k: u32) -> Table {
 /// **T13 (ablation).** Tightening the culling marking bound (slack < 1)
 /// forces the `S_v` fallback branch and shows how the selection quality
 /// degrades gracefully: page loads stay bounded, fallbacks grow.
-pub fn t13_slack_ablation(n: u64, d: u32) -> Table {
+pub fn t13_slack_ablation(n: u64, d: u32, threads: usize, sorter: Sorter) -> Table {
     let hmos = Hmos::new(HmosParams::with_d(3, 2, n, d).expect("valid T13 configuration")).unwrap();
     let active = n.min(hmos.num_variables());
     let vars = workload::multi_module_adversary(&hmos, active, 0);
     let reqs: Vec<Option<u64>> = vars.into_iter().map(Some).collect();
     let mut rows = Vec::new();
     for slack in [1.0f64, 0.5, 0.1, 0.01, 0.001] {
-        let out = prasim_core::culling::cull(&hmos, &reqs, slack, false);
+        let out = cull_with(
+            &hmos,
+            &reqs,
+            slack,
+            &mut ExecCtx::new(threads, sorter, false),
+        );
         let fallbacks: u64 = out.report.iterations.iter().map(|i| i.fallbacks).sum();
         let max_load = out
             .report
@@ -964,7 +1002,7 @@ pub fn t13_slack_ablation(n: u64, d: u32) -> Table {
 /// **T14 (Theorem 4 proof).** "Both `T_sim` and `q^k` are increasing
 /// functions of `q`, therefore we use the smallest possible `q = 3`."
 /// Measured: same mesh and comparable memory, `q ∈ {3, 4, 5}`.
-pub fn t14_q_sweep(n: u64) -> Table {
+pub fn t14_q_sweep(n: u64, threads: usize, sorter: Sorter) -> Table {
     let mut rows = Vec::new();
     for q in [3u64, 4, 5] {
         // Pick d so the memory sizes are comparable (~n^1.3).
@@ -987,7 +1025,8 @@ pub fn t14_q_sweep(n: u64) -> Table {
             }
         };
         let mut sim =
-            PramMeshSim::new(SimConfig::new(n, params.num_variables).with_q(q)).expect("valid sim");
+            PramMeshSim::new(sim_config(n, params.num_variables, threads, sorter).with_q(q))
+                .expect("valid sim");
         let active = n.min(sim.num_variables());
         let vars = workload::multi_module_adversary(sim.hmos(), active, 0);
         let t = sim.step(&PramStep::reads(&vars)).unwrap().total_steps;
@@ -1099,7 +1138,6 @@ pub fn t16_parallel_speedup(n: u64, packets_per_node: u64, threads: &[usize]) ->
 /// node), with fitted growth exponents. Also returns the table as a
 /// machine-readable JSON document (`BENCH_sorters.json`).
 pub fn t17_sorters(ns: &[u64]) -> (Table, String) {
-    use prasim_sortnet::Sorter;
     let sorters = [Sorter::Shearsort, Sorter::Columnsort];
     let mut steps: Vec<Vec<u64>> = vec![Vec::new(); sorters.len()];
     let mut rows = Vec::new();
@@ -1213,8 +1251,13 @@ pub fn t17_sorters(ns: &[u64]) -> (Table, String) {
 /// the two modes (only the wall-clock columns may differ). Also
 /// returns the data as a machine-readable JSON document
 /// (`BENCH_exec.json`).
-pub fn t18_context_reuse(n: u64, packets_per_node: u64, reps: u64) -> (Table, String) {
-    use prasim_exec::ExecCtx;
+pub fn t18_context_reuse(
+    n: u64,
+    packets_per_node: u64,
+    reps: u64,
+    threads: usize,
+    sorter: Sorter,
+) -> (Table, String) {
     use prasim_mesh::engine::Packet;
     use prasim_sortnet::snake::snake_index;
     use std::time::Instant;
@@ -1270,12 +1313,13 @@ pub fn t18_context_reuse(n: u64, packets_per_node: u64, reps: u64) -> (Table, St
     let mut walls = Vec::new();
     let mut obs: Option<(u64, prasim_mesh::engine::EngineStats, usize)> = None;
     for mode in ["fresh", "reused"] {
-        let mut reused_ctx = ExecCtx::from_defaults(); // built once, outside the clock
+        let new_ctx = || ExecCtx::new(threads, sorter, false);
+        let mut reused_ctx = new_ctx(); // built once, outside the clock
         let t0 = Instant::now();
         let mut last = None;
         for _ in 0..reps {
             let step_obs = if mode == "fresh" {
-                run_step(&mut ExecCtx::from_defaults())
+                run_step(&mut new_ctx())
             } else {
                 run_step(&mut reused_ctx)
             };
@@ -1303,7 +1347,6 @@ pub fn t18_context_reuse(n: u64, packets_per_node: u64, reps: u64) -> (Table, St
             format!("{:.2}x", walls[0] / wall),
         ]);
     }
-    let threads = prasim_mesh::engine::default_threads();
     let speedup = walls[0] / walls[1];
     let json = format!(
         "{{\n  \"experiment\": \"T18\",\n  \"n\": {n},\n  \"packets_per_node\": \
@@ -1353,26 +1396,30 @@ pub fn t18_context_reuse(n: u64, packets_per_node: u64, reps: u64) -> (Table, St
 /// **T19 (engine step throughput).** Steps-per-second of the
 /// struct-of-arrays arena engine against the frozen pre-arena
 /// [`prasim_mesh::reference::ReferenceEngine`] on identical sorted
-/// routing workloads, swept over mesh sizes and worker-thread counts.
-/// Each workload is the raw T16 traffic (random destinations,
-/// `packets_per_node` per node, the congestion the access protocol's
-/// routing stages actually see); its request keys are also sorted on
-/// the mesh by the configured sorter (so `--sorter
-/// shearsort|columnsort` exercises both sort phases — the sort-steps
-/// column) before the engines route the traffic to completion. Both
-/// engines run the same workload at the same thread count and their
-/// stats are asserted equal — the wall-clock ratio is purely the
-/// storage layout. Also returns the data as a machine-readable JSON
-/// document (`BENCH_engine.json`); the `speedup` entry at `n = 4096`,
-/// 8 threads is the headline number of the arena rewrite.
-pub fn t19_engine_throughput(ns: &[u64], packets_per_node: u64, reps: u64) -> (Table, String) {
-    use prasim_exec::ExecCtx;
+/// routing workloads, swept over mesh sizes. Each workload is the raw
+/// T16 traffic (random destinations, `packets_per_node` per node, the
+/// congestion the access protocol's routing stages actually see); its
+/// request keys are also sorted on the mesh by `sorter` (the
+/// sort-steps column) before the engines route the traffic to
+/// completion. Arena and legacy both run sequentially, so their
+/// wall-clock ratio is purely the storage layout; a third, arena-only
+/// column runs the same workload at `threads` workers. All three runs
+/// are asserted to agree on every observable. Also returns the data
+/// as a machine-readable JSON document (`BENCH_engine.json`); the
+/// `speedup` entry at `n = 4096` is the headline number of the arena
+/// rewrite.
+pub fn t19_engine_throughput(
+    ns: &[u64],
+    packets_per_node: u64,
+    reps: u64,
+    threads: usize,
+    sorter: Sorter,
+) -> (Table, String) {
     use prasim_mesh::engine::{Engine, Packet};
     use prasim_mesh::reference::ReferenceEngine;
     use prasim_sortnet::snake::snake_index;
     use std::time::Instant;
 
-    let sorter = prasim_sortnet::default_sorter();
     let mut rows = Vec::new();
     let mut json_entries = Vec::new();
     let mut headline = None;
@@ -1405,94 +1452,105 @@ pub fn t19_engine_throughput(ns: &[u64], packets_per_node: u64, reps: u64) -> (T
                 id += 1;
             }
         }
-        let mut ctx = ExecCtx::from_defaults();
-        let sort_cost = ctx.sort(
+        let sort_cost = sorter.sort(
             &mut items,
             shape.rows,
             shape.cols,
             packets_per_node as usize,
         );
 
-        for threads in [1usize, 8] {
-            // Arena engine: one warm instance, reset/inject/run/drain.
-            let mut arena = Engine::new(shape).with_threads(threads);
-            arena.reserve(workload.len());
-            let run_arena = |e: &mut Engine| {
-                e.reset();
-                for &(src, pkt) in &workload {
-                    e.inject(src, pkt);
-                }
-                let stats = e.run(100_000_000).expect("routing finishes");
-                let delivered = e.drain_delivered().count();
-                (stats, delivered)
-            };
-            let warm = run_arena(&mut arena);
-
-            // Legacy engine: same warm-reuse protocol on the frozen
-            // pre-arena implementation.
-            let mut legacy = ReferenceEngine::new(shape).with_threads(threads);
-            let run_legacy = |e: &mut ReferenceEngine| {
-                e.reset();
-                for &(src, pkt) in &workload {
-                    e.inject(src, pkt);
-                }
-                let stats = e.run(100_000_000).expect("routing finishes");
-                let delivered = e.take_delivered().len();
-                (stats, delivered)
-            };
-            let legacy_warm = run_legacy(&mut legacy);
-            assert_eq!(
-                warm, legacy_warm,
-                "arena and legacy engines must agree on every observable"
-            );
-
-            // Interleave the two engines' reps and keep the fastest rep
-            // of each: best-of-N is far more robust to scheduler noise
-            // than a single summed wall, and the interleaving exposes
-            // both engines to the same background interference.
-            let mut arena_wall = f64::INFINITY;
-            let mut legacy_wall = f64::INFINITY;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                assert_eq!(warm, run_arena(&mut arena), "arena run must repeat");
-                arena_wall = arena_wall.min(t0.elapsed().as_secs_f64());
-                let t0 = Instant::now();
-                run_legacy(&mut legacy);
-                legacy_wall = legacy_wall.min(t0.elapsed().as_secs_f64());
+        // Arena engines: one warm instance each, reset/inject/run/drain.
+        let run_arena = |e: &mut Engine| {
+            e.reset();
+            for &(src, pkt) in &workload {
+                e.inject(src, pkt);
             }
+            let stats = e.run(100_000_000).expect("routing finishes");
+            let delivered = e.drain_delivered().count();
+            (stats, delivered)
+        };
+        let mut arena = Engine::new(shape);
+        arena.reserve(workload.len());
+        let warm = run_arena(&mut arena);
+        let mut arena_par = Engine::new(shape).with_threads(threads);
+        arena_par.reserve(workload.len());
+        assert_eq!(
+            warm,
+            run_arena(&mut arena_par),
+            "arena engine must agree with itself at {threads} threads"
+        );
 
-            let (stats, delivered) = warm;
-            let total_steps = stats.steps as f64;
-            let arena_sps = total_steps / arena_wall;
-            let legacy_sps = total_steps / legacy_wall;
-            let speedup = legacy_wall / arena_wall;
-            if n == 4096 && threads == 8 {
-                headline = Some(speedup);
+        // Legacy engine: same warm-reuse protocol on the frozen
+        // pre-arena implementation.
+        let mut legacy = ReferenceEngine::new(shape);
+        let run_legacy = |e: &mut ReferenceEngine| {
+            e.reset();
+            for &(src, pkt) in &workload {
+                e.inject(src, pkt);
             }
-            rows.push(vec![
-                n.to_string(),
-                threads.to_string(),
-                sort_cost.steps.to_string(),
-                stats.steps.to_string(),
-                delivered.to_string(),
-                stats.max_queue.to_string(),
-                format!("{legacy_sps:.0}"),
-                format!("{arena_sps:.0}"),
-                format!("{speedup:.2}x"),
-            ]);
-            json_entries.push(format!(
-                "    {{\"n\": {n}, \"threads\": {threads}, \"route_steps\": {}, \
-                 \"legacy_steps_per_s\": {legacy_sps:.3}, \"arena_steps_per_s\": \
-                 {arena_sps:.3}, \"speedup\": {speedup:.4}}}",
-                stats.steps,
-            ));
+            let stats = e.run(100_000_000).expect("routing finishes");
+            let delivered = e.take_delivered().len();
+            (stats, delivered)
+        };
+        assert_eq!(
+            warm,
+            run_legacy(&mut legacy),
+            "arena and legacy engines must agree on every observable"
+        );
+
+        // Interleave the three runs' reps and keep the fastest rep of
+        // each: best-of-N is far more robust to scheduler noise than a
+        // single summed wall, and the interleaving exposes every run to
+        // the same background interference.
+        let mut arena_wall = f64::INFINITY;
+        let mut legacy_wall = f64::INFINITY;
+        let mut par_wall = f64::INFINITY;
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            assert_eq!(warm, run_arena(&mut arena), "arena run must repeat");
+            arena_wall = arena_wall.min(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            run_legacy(&mut legacy);
+            legacy_wall = legacy_wall.min(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            run_arena(&mut arena_par);
+            par_wall = par_wall.min(t0.elapsed().as_secs_f64());
         }
+
+        let (stats, delivered) = warm;
+        let total_steps = stats.steps as f64;
+        let arena_sps = total_steps / arena_wall;
+        let legacy_sps = total_steps / legacy_wall;
+        let par_sps = total_steps / par_wall;
+        let speedup = legacy_wall / arena_wall;
+        if n == 4096 {
+            headline = Some(speedup);
+        }
+        rows.push(vec![
+            n.to_string(),
+            sort_cost.steps.to_string(),
+            stats.steps.to_string(),
+            delivered.to_string(),
+            stats.max_queue.to_string(),
+            format!("{legacy_sps:.0}"),
+            format!("{arena_sps:.0}"),
+            format!("{speedup:.2}x"),
+            format!("{par_sps:.0}"),
+        ]);
+        json_entries.push(format!(
+            "    {{\"n\": {n}, \"route_steps\": {}, \"legacy_steps_per_s\": \
+             {legacy_sps:.3}, \"arena_steps_per_s\": {arena_sps:.3}, \"speedup\": \
+             {speedup:.4}, \"arena_par_steps_per_s\": {par_sps:.3}}}",
+            stats.steps,
+        ));
     }
     let headline = headline.unwrap_or(f64::NAN);
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"experiment\": \"T19\",\n  \"sorter\": \"{}\",\n  \"packets_per_node\": \
-         {packets_per_node},\n  \"reps\": {reps},\n  \"entries\": [\n{}\n  ],\n  \
-         \"speedup_n4096_t8\": {headline:.4}\n}}\n",
+         {packets_per_node},\n  \"reps\": {reps},\n  \"method\": \"best of reps, \
+         interleaved\",\n  \"threads\": {threads},\n  \"host_nproc\": {nproc},\n  \
+         \"entries\": [\n{}\n  ],\n  \"speedup_n4096\": {headline:.4}\n}}\n",
         sorter.name(),
         json_entries.join(",\n"),
     );
@@ -1501,13 +1559,12 @@ pub fn t19_engine_throughput(ns: &[u64], packets_per_node: u64, reps: u64) -> (T
             id: "T19",
             title: format!(
                 "engine step throughput — arena vs legacy storage on the raw T16 \
-                 workload, {packets_per_node} packets/node, {reps} reps, sorter = {} \
+                 workload, {packets_per_node} packets/node, best of {reps} reps, sorter = {} \
                  (all columns but steps/s and speedup are deterministic)",
                 sorter.name()
             ),
             header: [
                 "n",
-                "threads",
                 "sort steps",
                 "route steps",
                 "delivered",
@@ -1515,6 +1572,7 @@ pub fn t19_engine_throughput(ns: &[u64], packets_per_node: u64, reps: u64) -> (T
                 "legacy steps/s",
                 "arena steps/s",
                 "speedup",
+                &format!("arena steps/s (threads = {threads})"),
             ]
             .iter()
             .map(|s| s.to_string())
@@ -1523,8 +1581,8 @@ pub fn t19_engine_throughput(ns: &[u64], packets_per_node: u64, reps: u64) -> (T
             notes: vec![format!(
                 "same routing policy, same observables, different storage: flat \
                  struct-of-arrays slots with zero steady-state allocation versus the \
-                 legacy per-node Vec<Flight> queues with per-step scratch; headline \
-                 speedup at n = 4096, 8 threads: {headline:.2}x"
+                 legacy per-node Vec<Flight> queues with per-step scratch, both \
+                 sequential; headline speedup at n = 4096: {headline:.2}x"
             )],
         },
         json,

@@ -128,7 +128,7 @@ impl SingleCopySim {
             num_variables,
             memory: vec![HashMap::new(); n as usize],
             max_engine_steps: 100_000_000,
-            exec: ExecCtx::from_defaults(),
+            exec: ExecCtx::default(),
         })
     }
 
@@ -136,6 +136,13 @@ impl SingleCopySim {
     /// scheme's execution context).
     pub fn with_sorter(mut self, sorter: Sorter) -> Self {
         self.exec.set_sorter(sorter);
+        self
+    }
+
+    /// Sets the engine worker-thread count (configures the scheme's
+    /// execution context; results never depend on it).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.exec.set_threads(threads);
         self
     }
 
@@ -160,7 +167,6 @@ impl BaselineScheme for SingleCopySim {
             .enumerate()
             .filter_map(|(p, op)| op.map(|o| (p as u32, self.home(o.var()))))
             .collect();
-        self.exec.maybe_renew();
         let (sort_steps, route_steps, access_steps, _q) =
             route_packets(self.shape, &pkts, self.max_engine_steps, &mut self.exec)?;
         let mut reads = vec![None; step.ops.len()];
@@ -214,7 +220,7 @@ impl MehlhornVishkinSim {
             c,
             memory: vec![HashMap::new(); n as usize],
             max_engine_steps: 100_000_000,
-            exec: ExecCtx::from_defaults(),
+            exec: ExecCtx::default(),
         })
     }
 
@@ -222,6 +228,13 @@ impl MehlhornVishkinSim {
     /// scheme's execution context).
     pub fn with_sorter(mut self, sorter: Sorter) -> Self {
         self.exec.set_sorter(sorter);
+        self
+    }
+
+    /// Sets the engine worker-thread count (configures the scheme's
+    /// execution context; results never depend on it).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.exec.set_threads(threads);
         self
     }
 
@@ -265,7 +278,6 @@ impl BaselineScheme for MehlhornVishkinSim {
                 None => {}
             }
         }
-        self.exec.maybe_renew();
         let (sort_steps, route_steps, access_steps, _q) =
             route_packets(self.shape, &pkts, self.max_engine_steps, &mut self.exec)?;
         let mut reads = vec![None; step.ops.len()];
@@ -327,7 +339,7 @@ impl FlatHmosSim {
             spec,
             clock: 0,
             max_engine_steps: 100_000_000,
-            exec: ExecCtx::from_defaults(),
+            exec: ExecCtx::default(),
         })
     }
 
@@ -335,6 +347,13 @@ impl FlatHmosSim {
     /// scheme's execution context).
     pub fn with_sorter(mut self, sorter: Sorter) -> Self {
         self.exec.set_sorter(sorter);
+        self
+    }
+
+    /// Sets the engine worker-thread count (configures the scheme's
+    /// execution context; results never depend on it).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.exec.set_threads(threads);
         self
     }
 
@@ -378,7 +397,6 @@ impl BaselineScheme for FlatHmosSim {
                 }
             }
         }
-        self.exec.maybe_renew();
         let (sort_steps, route_steps, access_steps, _q) =
             route_packets(shape, &pkts, self.max_engine_steps, &mut self.exec)?;
         let mut best: Vec<Option<(u64, u64)>> = vec![None; step.ops.len()];

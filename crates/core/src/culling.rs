@@ -17,12 +17,11 @@
 
 use prasim_exec::ExecCtx;
 use prasim_hmos::{CopyAddr, Hmos, TargetSpec};
-use prasim_mesh::engine::default_threads;
 use prasim_mesh::topology::MeshShape;
 use prasim_routing::problem::SplitMix64;
 use prasim_sortnet::rank::rank_sorted;
 use prasim_sortnet::snake::snake_index;
-use prasim_sortnet::sorter::default_sorter;
+use prasim_sortnet::sorter::Sorter;
 
 /// A culled copy with its resolved physical address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,11 +123,15 @@ pub fn select_all(hmos: &Hmos, requests: &[Option<u64>]) -> CullingOutcome {
     }
 }
 
-/// Runs CULLING on a throwaway execution context with the process
-/// default sorter and thread count — see [`cull_with`].
+/// Runs CULLING on a throwaway one-thread execution context with the
+/// default sorter — see [`cull_with`].
 pub fn cull(hmos: &Hmos, requests: &[Option<u64>], slack: f64, analytic: bool) -> CullingOutcome {
-    let mut ctx = ExecCtx::new(default_threads(), default_sorter(), analytic);
-    cull_with(hmos, requests, slack, &mut ctx)
+    cull_with(
+        hmos,
+        requests,
+        slack,
+        &mut ExecCtx::new(1, Sorter::default(), analytic),
+    )
 }
 
 /// Runs CULLING for the requested variables (`requests[p]` is processor

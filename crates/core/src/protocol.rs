@@ -495,7 +495,7 @@ mod tests {
             &wstep.ops,
             &sel.selected,
             &RunOptions::new(1),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         assert!(res.reads.iter().all(Option::is_none));
@@ -507,7 +507,7 @@ mod tests {
             &rstep.ops,
             &sel.selected,
             &RunOptions::new(2),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         for (p, read) in res.reads.iter().enumerate() {
@@ -531,7 +531,7 @@ mod tests {
             &step.ops,
             &sel.selected,
             &RunOptions::new(1),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         for p in 0..64 {
@@ -556,7 +556,7 @@ mod tests {
             &step.ops,
             &sel.selected,
             &RunOptions::new(1),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         // k = 2: stages 3, 2, 1.
@@ -599,7 +599,7 @@ mod tests {
             &wstep.ops,
             &sel.selected,
             &RunOptions::new(1),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         wstep.ops[0] = Some(Op::Write { var: v, value: 222 });
@@ -609,7 +609,7 @@ mod tests {
             &wstep.ops,
             &sel.selected,
             &RunOptions::new(2),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         let mut rstep = PramStep {
@@ -622,7 +622,7 @@ mod tests {
             &rstep.ops,
             &sel.selected,
             &RunOptions::new(3),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         assert_eq!(res.reads[0], Some(222));
@@ -646,7 +646,7 @@ mod tests {
             &wstep.ops,
             &sel.selected,
             &opts,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         for p in 0..512 {
@@ -662,7 +662,7 @@ mod tests {
             &rstep.ops,
             &sel.selected,
             &opts,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         for p in 0..512 {
@@ -697,7 +697,7 @@ mod tests {
             &wstep.ops,
             &all.selected,
             &opts,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
 
@@ -719,7 +719,7 @@ mod tests {
             &rstep.ops,
             &all.selected,
             &fresh,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         assert_ne!(
@@ -739,7 +739,7 @@ mod tests {
             &rstep.ops,
             &all.selected,
             &quorum,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         assert_eq!(res.reads[0], Some(555));
@@ -774,7 +774,7 @@ mod tests {
             &wstep.ops,
             &all.selected,
             &opts,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
 
@@ -800,7 +800,7 @@ mod tests {
                 &rstep.ops,
                 &all.selected,
                 &quorum,
-                &mut ExecCtx::from_defaults(),
+                &mut ExecCtx::default(),
             )
             .unwrap();
             // Either the healthy leaves still contain a target set (the

@@ -36,19 +36,17 @@ pub struct SimConfig {
     pub read_policy: ReadPolicy,
     /// Worker threads the mesh engines shard their rows across (1 =
     /// sequential). Results are byte-identical for every value — only
-    /// wall-clock time changes. Defaults to the process-wide
-    /// [`prasim_mesh::engine::default_threads`].
+    /// wall-clock time changes. Defaults to 1.
     pub threads: usize,
     /// The step-simulated mesh sorter CULLING and the access protocol
-    /// run on. Defaults to the process-wide
-    /// [`prasim_sortnet::default_sorter`] (columnsort unless
-    /// overridden).
+    /// run on. Defaults to [`prasim_sortnet::Sorter::default`]
+    /// (columnsort).
     pub sorter: prasim_sortnet::Sorter,
 }
 
 impl SimConfig {
     /// The default configuration: `q = 3`, `k = 2`, generous engine
-    /// budget.
+    /// budget, one thread, columnsort.
     pub fn new(n: u64, memory: u64) -> Self {
         SimConfig {
             n,
@@ -59,8 +57,8 @@ impl SimConfig {
             max_engine_steps: 100_000_000,
             analytic_sort: false,
             read_policy: ReadPolicy::Freshest,
-            threads: prasim_mesh::engine::default_threads(),
-            sorter: prasim_sortnet::default_sorter(),
+            threads: 1,
+            sorter: prasim_sortnet::Sorter::default(),
         }
     }
 
@@ -292,11 +290,6 @@ impl PramMeshSim {
         let mut ops = step.ops.clone();
         ops.resize(self.config.n as usize, None);
         let requests: Vec<Option<u64>> = ops.iter().map(|o| o.map(|op| op.var())).collect();
-
-        // Under `--ctx fresh` the context sheds its pooled state at every
-        // step boundary (the seed's cold-start behavior); the default
-        // reuses pools across steps. Results are byte-identical.
-        self.exec.maybe_renew();
 
         // Freshest reads use the culled minimal target sets; majority
         // reads must see every copy so the quorum can out-vote faults.

@@ -56,8 +56,8 @@
 //! The handoff slots are engine-persistent `bands × bands` ring
 //! positions; publishing and draining swap `Vec`s, so capacity
 //! ping-pongs between a band's out-buffers and the ring instead of being
-//! reallocated per step (the pre-arena engine allocated a
-//! `Vec<Mutex<BandMoves>>` per run and fresh move vectors per step).
+//! reallocated per step (the pre-arena engine allocated its handoff
+//! per run and fresh move vectors per step).
 //!
 //! Because bands are contiguous ascending row ranges, concatenating the
 //! handoff queues in source-band order reproduces exactly the ascending
@@ -68,9 +68,10 @@
 //! per-band code (`compute_lane`/`apply_lane`/`absorb_lane`); the
 //! sequential engine is simply the one-band instance. The property is
 //! enforced by the `parallel_equivalence` proptest suite, by the
-//! `arena_engine_matches_reference` diff against the frozen
-//! [`crate::reference::ReferenceEngine`], and by the CI determinism
-//! matrix, which diffs whole reproduce tables across `--threads 1/2/8`.
+//! `arena_engine_matches_reference` diff of every thread count against
+//! the frozen sequential [`crate::reference::ReferenceEngine`], and by
+//! the CI determinism matrix, which diffs whole reproduce tables across
+//! `--threads 1/2/8`.
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::fault::FaultMask;
@@ -78,39 +79,8 @@ use crate::pool::WorkerPool;
 use crate::region::Rect;
 use crate::topology::{Coord, Dir, MeshShape};
 use crate::trace::LinkTrace;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
-
-/// Process-wide thread-count override installed by [`set_global_threads`]
-/// (0 = unset).
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-/// Cached `PRASIM_THREADS` environment lookup.
-static ENV_THREADS: OnceLock<usize> = OnceLock::new();
-
-/// The worker-thread count a fresh [`Engine`] starts with: the override
-/// installed by [`set_global_threads`] if any, else the `PRASIM_THREADS`
-/// environment variable, else 1 (sequential). Results never depend on
-/// the value — only wall-clock time does.
-pub fn default_threads() -> usize {
-    match GLOBAL_THREADS.load(Ordering::Relaxed) {
-        0 => *ENV_THREADS.get_or_init(|| {
-            std::env::var("PRASIM_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&t| t > 0)
-                .unwrap_or(1)
-        }),
-        t => t,
-    }
-}
-
-/// Installs a process-wide default worker-thread count for every engine
-/// constructed afterwards (CLIs call this from their `--threads` flag so
-/// the knob reaches engines built deep inside the routing and protocol
-/// stages). Clamped to at least 1.
-pub fn set_global_threads(threads: usize) {
-    GLOBAL_THREADS.store(threads.max(1), Ordering::Relaxed);
-}
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// A packet in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -631,8 +601,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An empty engine on the given mesh, with the process default
-    /// worker-thread count ([`default_threads`]).
+    /// An empty, sequential (1-thread) engine on the given mesh; see
+    /// [`Engine::with_threads`].
     pub fn new(shape: MeshShape) -> Self {
         Engine {
             shape,
@@ -651,7 +621,7 @@ impl Engine {
             stats: EngineStats::default(),
             trace: None,
             faults: None,
-            threads: default_threads(),
+            threads: 1,
             pool: None,
         }
     }

@@ -2,10 +2,10 @@
 //!
 //! [`ReferenceEngine`] is the pre-arena storage layout frozen in place:
 //! one heap `Vec<Flight>` per node, whole [`Packet`]s carried in every
-//! queue entry, fresh scratch vectors per half-step, and — at
-//! `threads > 1` — the legacy sharded loop that allocates its
-//! `Vec<Mutex<BandMoves>>` handoff per run and fresh move vectors per
-//! step. It shares no storage code with [`crate::engine::Engine`]; the
+//! queue entry, fresh scratch vectors per step. It is sequential only:
+//! the arena engine's sharded path is pinned to the arena engine's own
+//! sequential path by the `parallel_equivalence` suite, so one
+//! sequential oracle covers every thread count. It shares no storage code with [`crate::engine::Engine`]; the
 //! routing policy (greedy XY within bounds, farthest-first link
 //! arbitration, fault detours, the deterministic lossy-link hash) is
 //! deliberately *duplicated*, not imported, so a storage bug in the
@@ -15,23 +15,21 @@
 //!
 //! - the `arena_engine_matches_reference` proptest in
 //!   `tests/exec_context.rs` byte-diffs every observable (stats,
-//!   delivered order, traces, fault drops) of the two engines over
-//!   random meshes, thread counts and fault plans;
-//! - the T19 throughput table measures both engines on identical
-//!   workloads at the same thread counts, so `BENCH_engine.json`
+//!   delivered order, traces, fault drops) of the arena engine at
+//!   several thread counts against this oracle over random meshes and
+//!   fault plans;
+//! - the T19 throughput table measures both engines sequentially on
+//!   identical workloads, so `BENCH_engine.json`
 //!   records the speedup of the struct-of-arrays layout over this
 //!   baseline rather than over a number that no longer exists in the
 //!   tree.
 //!
 //! Nothing outside tests and benches should use this type.
 
-use crate::engine::{default_threads, EngineError, EngineStats, Packet};
+use crate::engine::{EngineError, EngineStats, Packet};
 use crate::fault::FaultMask;
-use crate::pool::WorkerPool;
 use crate::topology::{Coord, Dir, MeshShape};
 use crate::trace::LinkTrace;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
 
 /// A resident packet plus its fault-detour bookkeeping (legacy layout:
 /// the whole packet rides in the queue entry).
@@ -43,7 +41,7 @@ struct Flight {
     last_dir: Option<Dir>,
 }
 
-/// Read-only step context shared by every band worker.
+/// Read-only per-step context.
 #[derive(Clone, Copy)]
 struct StepCtx<'a> {
     shape: MeshShape,
@@ -125,45 +123,29 @@ impl StepCtx<'_> {
     }
 }
 
-/// Packet moves leaving one band, keyed by destination band, each queue
-/// in source-node order (legacy: allocated fresh every step).
-type BandMoves = Vec<Vec<(u32, Flight)>>;
-
-/// One band's per-step output: outgoing moves keyed by destination band
-/// plus the stats deltas the coordinator folds into [`EngineStats`].
+/// One step's output: the moves in source-node order plus the stats
+/// deltas folded into [`EngineStats`].
 #[derive(Default)]
-struct BandScratch {
-    moves: BandMoves,
+struct StepScratch {
+    moves: Vec<(u32, Flight)>,
     hops: u64,
     dropped: u64,
     delivered: Vec<(u32, Packet)>,
-    max_queue: usize,
 }
 
-impl BandScratch {
-    fn with_bands(bands: usize) -> Self {
-        BandScratch {
-            moves: (0..bands).map(|_| Vec::new()).collect(),
-            ..BandScratch::default()
-        }
-    }
-}
-
-/// One band's compute half-step (legacy storage walk: winner pick per
+/// The compute half of a step (legacy storage walk: winner pick per
 /// node, `swap_remove` of movers, fresh `stuck`/`removals` vectors).
-fn compute_band(
+fn compute(
     ctx: &StepCtx<'_>,
     queues: &mut [Vec<Flight>],
-    node0: u32,
     mut trace: Option<&mut [[u64; 4]]>,
-    band_of: impl Fn(u32) -> usize,
-    out: &mut BandScratch,
+    out: &mut StepScratch,
 ) {
     for (local, queue) in queues.iter_mut().enumerate() {
         if queue.is_empty() {
             continue;
         }
-        let idx = node0 + local as u32;
+        let idx = local as u32;
         let here = ctx.shape.coord(idx);
         let mut best: [Option<(u32, u64, usize, bool)>; 4] = [None; 4]; // (dist, id, pos, detour)
         let mut stuck: Vec<usize> = Vec::new();
@@ -217,22 +199,21 @@ fn compute_band(
                 .step(here, dir)
                 .expect("XY routing within bounds cannot leave the mesh");
             let next_idx = ctx.shape.index(next);
-            out.moves[band_of(next_idx)].push((next_idx, fl));
+            out.moves.push((next_idx, fl));
         }
     }
 }
 
-/// Absorbs every packet of the band that sits at its destination (and
-/// drops anything resident on a dead node), in ascending node order.
-fn absorb_band(
+/// Absorbs every packet that sits at its destination (and drops
+/// anything resident on a dead node), in ascending node order.
+fn absorb(
     shape: MeshShape,
     faults: Option<&FaultMask>,
     queues: &mut [Vec<Flight>],
-    node0: u32,
-    out: &mut BandScratch,
+    out: &mut StepScratch,
 ) {
     for (local, queue) in queues.iter_mut().enumerate() {
-        let idx = node0 + local as u32;
+        let idx = local as u32;
         let here = shape.coord(idx);
         let dead_here = faults.is_some_and(|m| m.node_dead(idx));
         let mut i = 0;
@@ -250,9 +231,9 @@ fn absorb_band(
     }
 }
 
-/// The legacy array-of-structs engine. Same observable contract as
-/// [`crate::engine::Engine`] at every thread count; see the module docs
-/// for why it is kept.
+/// The legacy array-of-structs engine, sequential only. Same observable
+/// contract as [`crate::engine::Engine`] at every thread count; see the
+/// module docs for why it is kept.
 #[derive(Debug)]
 pub struct ReferenceEngine {
     shape: MeshShape,
@@ -262,12 +243,10 @@ pub struct ReferenceEngine {
     stats: EngineStats,
     trace: Option<LinkTrace>,
     faults: Option<FaultMask>,
-    threads: usize,
 }
 
 impl ReferenceEngine {
-    /// An empty legacy engine on the given mesh, with the process
-    /// default worker-thread count.
+    /// An empty legacy engine on the given mesh.
     pub fn new(shape: MeshShape) -> Self {
         ReferenceEngine {
             resident: vec![Vec::new(); shape.nodes() as usize],
@@ -277,7 +256,6 @@ impl ReferenceEngine {
             stats: EngineStats::default(),
             trace: None,
             faults: None,
-            threads: default_threads(),
         }
     }
 
@@ -299,13 +277,6 @@ impl ReferenceEngine {
         self.stats = EngineStats::default();
         self.trace = None;
         self.faults = None;
-    }
-
-    /// Sets the worker-thread count of the legacy sharded loop
-    /// (clamped to at least 1; results never depend on it).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Installs a fault mask; must precede injection.
@@ -367,63 +338,52 @@ impl ReferenceEngine {
     /// Runs until every packet is delivered or the budget is exhausted.
     pub fn run(&mut self, max_steps: u64) -> Result<EngineStats, EngineError> {
         self.absorb_arrivals();
-        let bands = self.threads.min(self.shape.rows as usize).max(1);
-        if bands == 1 {
-            while self.in_flight > 0 {
-                if self.stats.steps >= max_steps {
-                    return Err(EngineError::StepBudgetExceeded {
-                        max_steps,
-                        in_flight: self.in_flight,
-                    });
-                }
-                self.step();
+        while self.in_flight > 0 {
+            if self.stats.steps >= max_steps {
+                return Err(EngineError::StepBudgetExceeded {
+                    max_steps,
+                    in_flight: self.in_flight,
+                });
             }
-            return Ok(self.stats);
+            self.step();
         }
-        self.run_parallel(max_steps, bands)
+        Ok(self.stats)
     }
 
-    /// Sequential absorb over the whole mesh.
+    /// Absorbs arrivals over the whole mesh and folds the drop/delivery
+    /// deltas into the engine counters.
     fn absorb_arrivals(&mut self) {
-        let mut out = BandScratch::default();
-        absorb_band(
+        let mut out = StepScratch::default();
+        absorb(
             self.shape,
             self.faults.as_ref(),
             &mut self.resident,
-            0,
             &mut out,
         );
-        self.fold_absorbed(out);
-    }
-
-    /// Folds one band's drop/delivery deltas into the engine counters.
-    fn fold_absorbed(&mut self, mut out: BandScratch) {
         self.in_flight -= out.dropped + out.delivered.len() as u64;
         self.stats.dropped += out.dropped;
         self.stats.delivered += out.delivered.len() as u64;
         self.delivered.append(&mut out.delivered);
     }
 
-    /// One sequential synchronous step.
+    /// One synchronous step.
     fn step(&mut self) {
         let ctx = StepCtx {
             shape: self.shape,
             faults: self.faults.as_ref(),
             step: self.stats.steps,
         };
-        let mut out = BandScratch::with_bands(1);
-        compute_band(
+        let mut out = StepScratch::default();
+        compute(
             &ctx,
             &mut self.resident,
-            0,
             self.trace.as_mut().map(LinkTrace::counts_mut),
-            |_| 0,
             &mut out,
         );
         self.stats.total_hops += out.hops;
         self.stats.dropped += out.dropped;
         self.in_flight -= out.dropped;
-        for (node, fl) in out.moves.pop().expect("single band") {
+        for (node, fl) in out.moves {
             self.resident[node as usize].push(fl);
         }
         self.stats.steps += 1;
@@ -431,140 +391,6 @@ impl ReferenceEngine {
             self.stats.max_queue = self.stats.max_queue.max(q.len());
         }
         self.absorb_arrivals();
-    }
-
-    /// The legacy sharded step loop, frozen exactly as it ran before the
-    /// arena rewrite: per-run `Vec<Mutex<BandMoves>>` handoff, fresh
-    /// move vectors every step, `mem::take` churn on the drain side.
-    fn run_parallel(&mut self, max_steps: u64, bands: usize) -> Result<EngineStats, EngineError> {
-        let pool = Arc::clone(WorkerPool::shared());
-        let shape = self.shape;
-        let rows = shape.rows as usize;
-        let cols = shape.cols;
-        let row_start = |b: usize| b * rows / bands;
-        let node_starts: Vec<u32> = (0..=bands).map(|b| row_start(b) as u32 * cols).collect();
-        let mut row_band = vec![0usize; rows];
-        for b in 0..bands {
-            row_band[row_start(b)..row_start(b + 1)].fill(b);
-        }
-
-        let faults = self.faults.as_ref();
-        let stats = &mut self.stats;
-        let delivered_all = &mut self.delivered;
-        let in_flight = &mut self.in_flight;
-        let mut band_queues: Vec<&mut [Vec<Flight>]> = Vec::with_capacity(bands);
-        let mut rest: &mut [Vec<Flight>] = &mut self.resident;
-        for b in 0..bands {
-            let (head, tail) = rest.split_at_mut((node_starts[b + 1] - node_starts[b]) as usize);
-            band_queues.push(head);
-            rest = tail;
-        }
-        let mut band_trace: Vec<Option<&mut [[u64; 4]]>> = match self.trace.as_mut() {
-            None => (0..bands).map(|_| None).collect(),
-            Some(t) => {
-                let mut v = Vec::with_capacity(bands);
-                let mut rest: &mut [[u64; 4]] = t.counts_mut();
-                for b in 0..bands {
-                    let (head, tail) =
-                        rest.split_at_mut((node_starts[b + 1] - node_starts[b]) as usize);
-                    v.push(Some(head));
-                    rest = tail;
-                }
-                v
-            }
-        };
-
-        let barrier_all = Barrier::new(bands + 1);
-        let barrier_workers = Barrier::new(bands);
-        let stop = AtomicBool::new(false);
-        let handoff: Vec<Mutex<BandMoves>> = (0..bands)
-            .map(|_| Mutex::new((0..bands).map(|_| Vec::new()).collect()))
-            .collect();
-        let results: Vec<Mutex<BandScratch>> = (0..bands)
-            .map(|_| Mutex::new(BandScratch::default()))
-            .collect();
-        let start_step = stats.steps;
-        let row_band = &row_band;
-        let node_starts = &node_starts;
-        let barrier_all = &barrier_all;
-        let barrier_workers = &barrier_workers;
-        let stop = &stop;
-        let handoff = &handoff;
-        let results = &results;
-
-        type BandState<'a> = (&'a mut [Vec<Flight>], Option<&'a mut [[u64; 4]]>);
-        let band_state: Vec<Mutex<Option<BandState<'_>>>> = band_queues
-            .into_iter()
-            .zip(band_trace.drain(..))
-            .map(|(queues, trace)| Mutex::new(Some((queues, trace))))
-            .collect();
-        let band_state = &band_state;
-
-        let worker = move |b: usize| {
-            let (queues, mut trace) = band_state[b]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("band state taken once per run");
-            let node0 = node_starts[b];
-            let band_of = |idx: u32| row_band[(idx / cols) as usize];
-            let mut step = start_step;
-            loop {
-                barrier_all.wait();
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let ctx = StepCtx {
-                    shape,
-                    faults,
-                    step,
-                };
-                let mut out = BandScratch::with_bands(bands);
-                compute_band(&ctx, queues, node0, trace.as_deref_mut(), band_of, &mut out);
-                std::mem::swap(&mut *handoff[b].lock().unwrap(), &mut out.moves);
-                barrier_workers.wait();
-                for src_slot in handoff.iter() {
-                    let incoming = std::mem::take(&mut src_slot.lock().unwrap()[b]);
-                    for (node, fl) in incoming {
-                        queues[(node - node0) as usize].push(fl);
-                    }
-                }
-                for q in queues.iter() {
-                    out.max_queue = out.max_queue.max(q.len());
-                }
-                absorb_band(shape, faults, queues, node0, &mut out);
-                *results[b].lock().unwrap() = out;
-                step += 1;
-                barrier_all.wait();
-            }
-        };
-        pool.run(bands, &worker, move || loop {
-            if *in_flight == 0 {
-                stop.store(true, Ordering::Release);
-                barrier_all.wait();
-                return Ok(*stats);
-            }
-            if stats.steps >= max_steps {
-                stop.store(true, Ordering::Release);
-                barrier_all.wait();
-                return Err(EngineError::StepBudgetExceeded {
-                    max_steps,
-                    in_flight: *in_flight,
-                });
-            }
-            barrier_all.wait();
-            barrier_all.wait();
-            stats.steps += 1;
-            for slot in results.iter() {
-                let mut out = slot.lock().unwrap();
-                stats.total_hops += out.hops;
-                stats.dropped += out.dropped;
-                stats.delivered += out.delivered.len() as u64;
-                stats.max_queue = stats.max_queue.max(out.max_queue);
-                *in_flight -= out.dropped + out.delivered.len() as u64;
-                delivered_all.append(&mut out.delivered);
-            }
-        })
     }
 }
 
@@ -604,27 +430,5 @@ mod tests {
         let stats = e.run(10_000).unwrap();
         assert_eq!(stats.delivered, 64);
         assert_eq!(e.take_delivered().len(), 64);
-    }
-
-    #[test]
-    fn reference_parallel_matches_sequential() {
-        let shape = MeshShape::square(8);
-        let mut transcripts = Vec::new();
-        for threads in [1usize, 3, 8] {
-            let mut e = ReferenceEngine::new(shape)
-                .with_threads(threads)
-                .with_trace();
-            for (src, pkt) in permutation_workload(shape) {
-                e.inject(src, pkt);
-            }
-            let stats = e.run(10_000).unwrap();
-            transcripts.push(format!(
-                "{stats:?} {:?} {:?}",
-                e.take_delivered(),
-                e.trace()
-            ));
-        }
-        assert_eq!(transcripts[0], transcripts[1]);
-        assert_eq!(transcripts[0], transcripts[2]);
     }
 }

@@ -13,24 +13,12 @@ use prasim_mesh::engine::{EngineError, Packet};
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::Coord;
 use prasim_sortnet::snake::{snake_coord, snake_index};
-use prasim_sortnet::sorter::Sorter;
 
 /// Routes an `(l1, l2)` instance by sorting by destination and then
 /// greedy-routing from the balanced post-sort positions, using a
-/// default execution context (process-wide sorter and thread count).
+/// default execution context ([`ExecCtx::default`]).
 pub fn route_flat(inst: &RoutingInstance, max_steps: u64) -> Result<RoutingOutcome, EngineError> {
-    route_flat_ctx(inst, max_steps, &mut ExecCtx::from_defaults())
-}
-
-/// [`route_flat`] with an explicit mesh sorter for the sort phase.
-pub fn route_flat_with(
-    inst: &RoutingInstance,
-    sorter: Sorter,
-    max_steps: u64,
-) -> Result<RoutingOutcome, EngineError> {
-    let mut ctx = ExecCtx::from_defaults();
-    ctx.set_sorter(sorter);
-    route_flat_ctx(inst, max_steps, &mut ctx)
+    route_flat_ctx(inst, max_steps, &mut ExecCtx::default())
 }
 
 /// [`route_flat`] on a caller-owned execution context: the sort runs

@@ -1,15 +1,27 @@
 //! Direct greedy XY routing (the baseline the staged algorithms beat).
 
 use crate::problem::{RoutingInstance, RoutingOutcome};
+use prasim_exec::ExecCtx;
 use prasim_mesh::engine::{Engine, EngineError, Packet};
 use prasim_mesh::region::Rect;
 
 /// Routes every packet straight from its source to its destination with
 /// greedy XY paths and farthest-first contention resolution. No sorting,
 /// no spreading — the naive strategy whose worst cases motivate
-/// Theorem 2's algorithm.
+/// Theorem 2's algorithm. Uses a default execution context
+/// ([`ExecCtx::default`]).
 pub fn route_greedy(inst: &RoutingInstance, max_steps: u64) -> Result<RoutingOutcome, EngineError> {
-    let mut engine = Engine::new(inst.shape);
+    route_greedy_ctx(inst, max_steps, &mut ExecCtx::default())
+}
+
+/// [`route_greedy`] on an engine from a caller-owned execution context
+/// (so the route runs at the context's thread count).
+pub fn route_greedy_ctx(
+    inst: &RoutingInstance,
+    max_steps: u64,
+    ctx: &mut ExecCtx,
+) -> Result<RoutingOutcome, EngineError> {
+    let mut engine = ctx.engine(inst.shape);
     engine.reserve(inst.pairs.len());
     let bounds = Rect::full(inst.shape);
     for (i, &(s, d)) in inst.pairs.iter().enumerate() {
@@ -27,6 +39,7 @@ pub fn route_greedy(inst: &RoutingInstance, max_steps: u64) -> Result<RoutingOut
     let mut out = RoutingOutcome::default();
     out.add_route(stats);
     debug_assert!(verify_delivery(inst, &mut engine));
+    ctx.recycle(engine);
     Ok(out)
 }
 

@@ -20,7 +20,6 @@ use prasim_mesh::topology::Coord;
 use prasim_sortnet::rank::rank_sorted;
 use prasim_sortnet::shearsort::SortCost;
 use prasim_sortnet::snake::{snake_coord, snake_index};
-use prasim_sortnet::sorter::Sorter;
 
 /// Errors from hierarchical routing.
 #[derive(Debug)]
@@ -54,27 +53,14 @@ impl From<EngineError> for HierError {
 }
 
 /// Runs the 4-step `(l1, l2, δ, m)`-routing with the mesh divided into
-/// `parts` submeshes, using a default execution context (process-wide
-/// sorter and thread count).
+/// `parts` submeshes, using a default execution context
+/// ([`ExecCtx::default`]).
 pub fn route_hierarchical(
     inst: &RoutingInstance,
     parts: u64,
     max_steps: u64,
 ) -> Result<RoutingOutcome, HierError> {
-    route_hierarchical_ctx(inst, parts, max_steps, &mut ExecCtx::from_defaults())
-}
-
-/// [`route_hierarchical`] with an explicit mesh sorter for the global
-/// and per-submesh sort phases.
-pub fn route_hierarchical_with(
-    inst: &RoutingInstance,
-    parts: u64,
-    sorter: Sorter,
-    max_steps: u64,
-) -> Result<RoutingOutcome, HierError> {
-    let mut ctx = ExecCtx::from_defaults();
-    ctx.set_sorter(sorter);
-    route_hierarchical_ctx(inst, parts, max_steps, &mut ctx)
+    route_hierarchical_ctx(inst, parts, max_steps, &mut ExecCtx::default())
 }
 
 /// [`route_hierarchical`] on a caller-owned execution context: sorts use

@@ -39,6 +39,6 @@ pub mod hierarchical;
 pub mod problem;
 
 pub use bounds::{lower_bounds, LowerBounds};
-pub use flat::{route_flat, route_flat_ctx, route_flat_with};
-pub use hierarchical::{route_hierarchical, route_hierarchical_ctx, route_hierarchical_with};
+pub use flat::{route_flat, route_flat_ctx};
+pub use hierarchical::{route_hierarchical, route_hierarchical_ctx};
 pub use problem::{RoutingInstance, RoutingOutcome};

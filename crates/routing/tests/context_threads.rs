@@ -8,6 +8,7 @@
 use prasim_exec::ExecCtx;
 use prasim_mesh::topology::MeshShape;
 use prasim_routing::flat::route_flat_ctx;
+use prasim_routing::greedy::route_greedy_ctx;
 use prasim_routing::hierarchical::route_hierarchical_ctx;
 use prasim_routing::problem::RoutingInstance;
 use prasim_routing::{route_flat, route_hierarchical};
@@ -42,6 +43,15 @@ fn flat_route_engine_uses_context_threads() {
 }
 
 #[test]
+fn greedy_route_engine_uses_context_threads() {
+    let inst = RoutingInstance::random(MeshShape::square(8), 2, 5);
+    let mut ctx = ctx_with(3);
+    let out = route_greedy_ctx(&inst, 100_000, &mut ctx).unwrap();
+    assert_eq!(out.delivered, 128);
+    assert_eq!(ctx.worker_pool().spawned(), 3);
+}
+
+#[test]
 fn hierarchical_route_engines_use_context_threads() {
     let shape = MeshShape::square(8);
     let inst = RoutingInstance::random(shape, 2, 77);
@@ -59,7 +69,7 @@ fn context_thread_count_does_not_change_results() {
     let base_hier = route_hierarchical(&inst, 4, 100_000).unwrap();
     for threads in [1usize, 2, 3, 7] {
         let mut ctx = ctx_with(threads);
-        ctx.set_sorter(prasim_sortnet::default_sorter());
+        ctx.set_sorter(Sorter::default());
         let f = route_flat_ctx(&inst, 100_000, &mut ctx).unwrap();
         let h = route_hierarchical_ctx(&inst, 4, 100_000, &mut ctx).unwrap();
         assert_eq!(f, base_flat, "threads = {threads}");

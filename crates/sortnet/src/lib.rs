@@ -49,4 +49,4 @@ pub use columnsort::{columnsort, columnsort_mesh, columnsort_mesh_with, RouteMem
 pub use rank::rank_sorted;
 pub use shearsort::{shearsort, SortCost};
 pub use snake::snake_index;
-pub use sorter::{default_sorter, set_global_sorter, Sorter};
+pub use sorter::Sorter;

@@ -11,13 +11,9 @@
 //!   [`crate::columnsort::columnsort_mesh`], in the `O(l·√n)` class the
 //!   paper's accounting assumes. **The default.**
 //!
-//! The process-wide default can be overridden with
-//! [`set_global_sorter`] (the CLI's `--sorter` flag) or the
-//! `PRASIM_SORTER` environment variable; per-run configuration
-//! (`SimConfig::with_sorter`, `RunOptions::with_sorter`, the
-//! `*_with` routing entry points) always wins over the global.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! There is no process-wide override: callers pick a sorter per run
+//! (`SimConfig::with_sorter`, `ExecCtx::new`) and get
+//! [`Sorter::default`] otherwise.
 
 use prasim_mesh::pool::EnginePool;
 
@@ -104,35 +100,6 @@ impl std::str::FromStr for Sorter {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Sorter::parse(s).ok_or_else(|| format!("unknown sorter '{s}' (shearsort|columnsort)"))
     }
-}
-
-/// 0 = unset, 1 = shearsort, 2 = columnsort.
-static GLOBAL_SORTER: AtomicU8 = AtomicU8::new(0);
-
-/// Pins the process-wide default sorter (the CLI `--sorter` flag).
-pub fn set_global_sorter(s: Sorter) {
-    let v = match s {
-        Sorter::Shearsort => 1,
-        Sorter::Columnsort => 2,
-    };
-    GLOBAL_SORTER.store(v, Ordering::Relaxed);
-}
-
-/// The default sorter for new configurations: the
-/// [`set_global_sorter`] override if set, else the `PRASIM_SORTER`
-/// environment variable, else [`Sorter::Columnsort`].
-pub fn default_sorter() -> Sorter {
-    match GLOBAL_SORTER.load(Ordering::Relaxed) {
-        1 => return Sorter::Shearsort,
-        2 => return Sorter::Columnsort,
-        _ => {}
-    }
-    if let Ok(v) = std::env::var("PRASIM_SORTER") {
-        if let Some(s) = Sorter::parse(v.trim()) {
-            return s;
-        }
-    }
-    Sorter::default()
 }
 
 #[cfg(test)]

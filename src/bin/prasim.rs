@@ -5,7 +5,7 @@
 //!                  [--workload random|adversarial|strided] [--seed 42]
 //!                  [--slack 1.0] [--analytic]
 //!                  [--policy freshest|quorum] [--threads N]
-//!                  [--sorter shearsort|columnsort] [--ctx fresh|reused]
+//!                  [--sorter shearsort|columnsort]
 //!                  [--dead N] [--sever N] [--lossy N]
 //!                  [--corrupt N] [--freeze N]
 //!                  [--fault-seed S] [--fault-from T]
@@ -25,22 +25,21 @@
 //! available parallelism); the output is byte-identical for every N.
 //! `--sorter` selects the mesh sorting network used by every sort phase
 //! (default: the step-simulated columnsort; `shearsort` restores the
-//! previous merge-split shearsort). `--ctx` controls whether each
-//! simulation keeps its pooled execution state (worker threads, engines,
-//! sort memo) warm across PRAM steps (`reused`, the default) or rebuilds
-//! it at every step boundary (`fresh`); the output is byte-identical
-//! either way.
+//! previous merge-split shearsort). Both are parsed once per command
+//! and passed down in the simulator's or router's execution context.
 
 use prasim::bibd::{Bibd, BibdSubgraph};
 use prasim::core::{workload, PramMeshSim, ReadPolicy, SimConfig};
+use prasim::exec::ExecCtx;
 use prasim::fault::{CopyFaultKind, FaultPlan};
 use prasim::hmos::{Hmos, HmosParams, QuorumRead};
 use prasim::mesh::topology::MeshShape;
 use prasim::routing::bounds::lower_bounds;
-use prasim::routing::flat::route_flat;
-use prasim::routing::greedy::route_greedy;
-use prasim::routing::hierarchical::route_hierarchical;
+use prasim::routing::flat::route_flat_ctx;
+use prasim::routing::greedy::route_greedy_ctx;
+use prasim::routing::hierarchical::route_hierarchical_ctx;
 use prasim::routing::problem::{RoutingInstance, RoutingOutcome};
+use prasim::sortnet::Sorter;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -105,42 +104,20 @@ impl Args {
         self.switches.iter().any(|s| s == switch)
     }
 
-    /// Resolves `--threads` (default: available parallelism) and
-    /// installs it as the process-wide engine default, so engines built
-    /// deep inside the routing and protocol stages pick it up too.
-    fn install_threads(&self) -> usize {
+    /// `--threads` (default: available parallelism).
+    fn threads(&self) -> usize {
         let default = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = (self.get_u64("threads", default as u64) as usize).max(1);
-        prasim::mesh::engine::set_global_threads(threads);
-        threads
+        (self.get_u64("threads", default as u64) as usize).max(1)
     }
 
-    /// Resolves `--sorter` (default: the process default, itself
-    /// columnsort unless `PRASIM_SORTER` overrides it) and installs it
-    /// as the process-wide sorter so every sort phase picks it up.
-    fn install_sorter(&self) -> prasim::sortnet::Sorter {
-        let sorter = match self.flags.get("sorter") {
+    /// `--sorter` (default: [`Sorter::default`], columnsort).
+    fn sorter(&self) -> Sorter {
+        match self.flags.get("sorter") {
             Some(v) => v
                 .parse()
                 .unwrap_or_else(|_| die("--sorter expects shearsort|columnsort")),
-            None => prasim::sortnet::default_sorter(),
-        };
-        prasim::sortnet::set_global_sorter(sorter);
-        sorter
-    }
-
-    /// Resolves `--ctx` (default: the process default, `reused`) and
-    /// installs it as the process-wide execution-context mode, so every
-    /// simulation either keeps its pooled state warm across steps or
-    /// renews it at each step boundary.
-    fn install_ctx_mode(&self) -> prasim::exec::ExecMode {
-        let mode = match self.flags.get("ctx") {
-            Some(v) => prasim::exec::ExecMode::parse(v)
-                .unwrap_or_else(|| die("--ctx expects fresh|reused")),
-            None => prasim::exec::default_exec_mode(),
-        };
-        prasim::exec::set_global_exec_mode(mode);
-        mode
+            None => Sorter::default(),
+        }
     }
 }
 
@@ -188,8 +165,7 @@ fn cmd_simulate(args: &Args) -> ExitCode {
         "quorum" | "majority" => ReadPolicy::HierarchicalMajority,
         other => die(&format!("unknown policy `{other}` (use freshest|quorum)")),
     };
-    let sorter = args.install_sorter();
-    args.install_ctx_mode();
+    let sorter = args.sorter();
     let config = SimConfig::new(n, memory)
         .with_q(args.get_u64("q", 3))
         .with_k(args.get_u64("k", 2) as u32)
@@ -197,7 +173,7 @@ fn cmd_simulate(args: &Args) -> ExitCode {
         .with_analytic_sort(args.has("analytic"))
         .with_read_policy(policy)
         .with_sorter(sorter)
-        .with_threads(args.install_threads());
+        .with_threads(args.threads());
     let mut sim = match PramMeshSim::new(config) {
         Ok(s) => s,
         Err(e) => die(&format!("{e}")),
@@ -394,22 +370,24 @@ fn cmd_route(args: &Args) -> ExitCode {
         Some(s) => s,
         None => die("--n must be a perfect square"),
     };
-    args.install_threads();
-    args.install_sorter();
-    args.install_ctx_mode();
+    let mut ctx = ExecCtx::new(args.threads(), args.sorter(), false);
     let l1 = args.get_u64("l1", 1);
     let seed = args.get_u64("seed", 7);
     let inst = RoutingInstance::random(shape, l1, seed);
     let lb = lower_bounds(&inst);
-    let outcome: RoutingOutcome = match args.get_str("algo", "flat") {
-        "greedy" => route_greedy(&inst, 100_000_000).unwrap_or_else(|e| die(&format!("{e}"))),
-        "flat" => route_flat(&inst, 100_000_000).unwrap_or_else(|e| die(&format!("{e}"))),
-        "hier" => {
-            let parts = args.get_u64("parts", (n / 64).max(2));
-            route_hierarchical(&inst, parts, 100_000_000).unwrap_or_else(|e| die(&format!("{e}")))
-        }
-        other => die(&format!("unknown algorithm `{other}`")),
-    };
+    let outcome: RoutingOutcome =
+        match args.get_str("algo", "flat") {
+            "greedy" => route_greedy_ctx(&inst, 100_000_000, &mut ctx)
+                .unwrap_or_else(|e| die(&format!("{e}"))),
+            "flat" => route_flat_ctx(&inst, 100_000_000, &mut ctx)
+                .unwrap_or_else(|e| die(&format!("{e}"))),
+            "hier" => {
+                let parts = args.get_u64("parts", (n / 64).max(2));
+                route_hierarchical_ctx(&inst, parts, 100_000_000, &mut ctx)
+                    .unwrap_or_else(|e| die(&format!("{e}")))
+            }
+            other => die(&format!("unknown algorithm `{other}`")),
+        };
     println!(
         "routed {} packets (l1 = {}, l2 = {}): {} steps (sort {}, route {})",
         inst.pairs.len(),

@@ -17,12 +17,17 @@
 //! sharper invariant: the allocation count of a warm parallel run is
 //! independent of how many steps the run executes. If the step loop
 //! itself allocated, a workload with more steps would allocate more.
+//!
+//! The counter is process-wide and libtest runs tests concurrently, so
+//! each test holds [`MEASURING`] across its warm-up and measurement:
+//! otherwise one test's allocations land in the other's window.
 
 use prasim_mesh::engine::{Engine, Packet};
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::{Coord, MeshShape};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
@@ -53,6 +58,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
+}
+
+/// Held by each test for its whole warm-up and measurement.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// Takes [`MEASURING`]; a test that failed while holding it poisons the
+/// lock, which must not fail the other test too.
+fn exclusive() -> MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Deterministic SplitMix64 finalizer (same shape the engine benches
@@ -112,6 +126,7 @@ fn cycle(engine: &mut Engine, w: &[(Coord, Packet)]) -> (u64, u64) {
 
 #[test]
 fn sequential_steady_state_allocates_nothing() {
+    let _window = exclusive();
     let shape = MeshShape::square(32);
     let w = workload(shape, 4, shape.nodes());
     let mut engine = Engine::new(shape).with_threads(1);
@@ -143,6 +158,7 @@ fn sequential_steady_state_allocates_nothing() {
 
 #[test]
 fn parallel_run_allocations_are_step_count_independent() {
+    let _window = exclusive();
     let shape = MeshShape::square(32);
     // Same packet count, very different step counts: adjacent
     // destinations versus mesh-wide ones.

@@ -145,12 +145,12 @@ fn crcw_mixed_read_write_phases_preserve_semantics() {
     assert_eq!(s.oracle_read(10), 50, "min of 50..100");
 }
 
-#[test]
-fn crew_matrix_vector_multiply() {
-    // y = A·x with an 8×8 matrix: row i's processors all read x[j]
-    // concurrently (every x[j] is read by 8 rows). Layout: A[i][j] in
-    // var i*8+j, x[j] in var 64+j, y[i] in var 72+i.
-    let mut s = sim(256, 100);
+/// y = A·x with an 8×8 matrix on `threads` engine workers: row i's
+/// processors all read x[j] concurrently (every x[j] is read by 8 rows).
+/// Layout: A[i][j] in var i*8+j, x[j] in var 64+j, y[i] in var 72+i.
+/// Returns every CREW/CRCW report and the final y.
+fn matrix_vector_multiply(threads: usize) -> (Vec<String>, Vec<u64>) {
+    let mut s = PramMeshSim::new(SimConfig::new(256, 100).with_threads(threads)).unwrap();
     let a: Vec<u64> = (0..64).map(|t| (t * 7 + 3) % 10).collect();
     let x: Vec<u64> = (0..8).map(|j| j + 1).collect();
     let a_vars: Vec<u64> = (0..64).collect();
@@ -179,10 +179,19 @@ fn crew_matrix_vector_multiply() {
             })
             .collect(),
     };
-    step_crcw(&mut s, &sum_step, WriteCombine::Sum).unwrap();
+    let sum = step_crcw(&mut s, &sum_step, WriteCombine::Sum).unwrap();
+    let reports = vec![format!("{ra:?}"), format!("{rx:?}"), format!("{sum:?}")];
+    (reports, (72..80).map(|v| s.oracle_read(v)).collect())
+}
 
-    for i in 0..8usize {
-        let expect: u64 = (0..8).map(|j| a[i * 8 + j] * x[j]).sum();
-        assert_eq!(s.oracle_read(72 + i as u64), expect, "row {i}");
-    }
+#[test]
+fn crew_matrix_vector_multiply() {
+    let a: Vec<u64> = (0..64).map(|t| (t * 7 + 3) % 10).collect();
+    let expect: Vec<u64> = (0..8)
+        .map(|i| (0..8).map(|j| a[i * 8 + j] * (j as u64 + 1)).sum())
+        .collect();
+    let (reports, y) = matrix_vector_multiply(1);
+    assert_eq!(y, expect);
+    // The CREW/CRCW front-ends must not depend on the thread count.
+    assert_eq!(matrix_vector_multiply(8), (reports, y));
 }

@@ -117,33 +117,53 @@ fn multi_step_program_counter() {
     }
 }
 
-#[test]
-fn all_schemes_agree_on_read_values() {
-    // The HMOS machine, the single-copy scheme, MV and the flat ablation
-    // are all implementations of the same shared memory: identical
-    // results on identical programs.
+/// Writes then reads 700 random variables on every scheme with
+/// `threads` engine workers; returns each scheme's read values and the
+/// debug rendering of all its step reports.
+fn all_schemes(threads: usize) -> Vec<(Vec<Option<u64>>, String)> {
     let n = 1024u64;
-    let mut hm = PramMeshSim::new(SimConfig::new(n, 9000)).unwrap();
+    let mut hm = PramMeshSim::new(SimConfig::new(n, 9000).with_threads(threads)).unwrap();
     let nv = hm.num_variables();
-    let mut sc = SingleCopySim::new(n, nv).unwrap();
-    let mut mv = MehlhornVishkinSim::new(n, nv, 3).unwrap();
-    let mut fh = FlatHmosSim::new(3, 2, n, 9000).unwrap();
+    let mut baselines: Vec<Box<dyn BaselineScheme>> = vec![
+        Box::new(SingleCopySim::new(n, nv).unwrap().with_threads(threads)),
+        Box::new(
+            MehlhornVishkinSim::new(n, nv, 3)
+                .unwrap()
+                .with_threads(threads),
+        ),
+        Box::new(
+            FlatHmosSim::new(3, 2, n, 9000)
+                .unwrap()
+                .with_threads(threads),
+        ),
+    ];
 
     let vars = workload::random_distinct(700, nv, 99);
     let vals: Vec<u64> = vars.iter().map(|v| v * 7 + 3).collect();
     let wstep = PramStep::writes(&vars, &vals);
     let rstep = PramStep::reads(&vars);
-    hm.step(&wstep).unwrap();
-    sc.step(&wstep).unwrap();
-    mv.step(&wstep).unwrap();
-    fh.step(&wstep).unwrap();
-    let a = hm.step(&rstep).unwrap().reads;
-    let b = sc.step(&rstep).unwrap().reads;
-    let c = mv.step(&rstep).unwrap().reads;
-    let d = fh.step(&rstep).unwrap().reads;
-    assert_eq!(a, b);
-    assert_eq!(a, c);
-    assert_eq!(a, d);
+    let w = hm.step(&wstep).unwrap();
+    let r = hm.step(&rstep).unwrap();
+    let mut out = vec![(r.reads.clone(), format!("{w:?} {r:?}"))];
+    for b in &mut baselines {
+        let w = b.step(&wstep).unwrap();
+        let r = b.step(&rstep).unwrap();
+        out.push((r.reads.clone(), format!("{w:?} {r:?}")));
+    }
+    out
+}
+
+#[test]
+fn all_schemes_agree_on_read_values() {
+    // The HMOS machine, the single-copy scheme, MV and the flat ablation
+    // are all implementations of the same shared memory: identical
+    // results on identical programs.
+    let runs = all_schemes(1);
+    for (reads, _) in &runs[1..] {
+        assert_eq!(&runs[0].0, reads);
+    }
+    // Reports and reads must not depend on the engine thread count.
+    assert_eq!(all_schemes(8), runs);
 }
 
 #[test]

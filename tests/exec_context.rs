@@ -158,10 +158,10 @@ fn engine_workload(shape: MeshShape, pairs: &[(u32, u32)]) -> Vec<(u32, Packet)>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The struct-of-arrays engine and the frozen pre-arena
-    /// [`ReferenceEngine`] must agree on every observable — stats,
-    /// delivered order, traces, fault drops — over random meshes,
-    /// worker-thread counts and fault plans. The two implementations
+    /// The struct-of-arrays engine, at every worker-thread count, and
+    /// the frozen sequential pre-arena [`ReferenceEngine`] must agree on
+    /// every observable — stats, delivered order, traces, fault drops —
+    /// over random meshes and fault plans. The two implementations
     /// share no storage code, so agreement here pins the arena layout
     /// to the legacy semantics bit for bit.
     #[test]
@@ -184,7 +184,7 @@ proptest! {
         let w = engine_workload(shape, &pairs);
 
         let mut arena = Engine::new(shape).with_threads(threads).with_trace();
-        let mut legacy = ReferenceEngine::new(shape).with_threads(threads).with_trace();
+        let mut legacy = ReferenceEngine::new(shape).with_trace();
         if let Some(m) = &mask {
             arena = arena.with_faults(m.clone());
             legacy = legacy.with_faults(m.clone());
