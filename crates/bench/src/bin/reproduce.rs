@@ -17,7 +17,8 @@
 //!
 //! `--sorter shearsort|columnsort` selects the mesh sorter behind every
 //! sort phase (default: columnsort). The CI sorter matrix regenerates
-//! T2/T17 under both and diffs each against its committed golden.
+//! T2/T17 under both and diffs each against its committed golden, and
+//! diffs T12 (columnsort) against its golden as well.
 //!
 //! Both flags are parsed here once and passed to every table builder
 //! as arguments; nothing is configured through process-wide state.
@@ -183,8 +184,7 @@ fn main() {
         } else {
             vec![256, 1024, 4096, 16384]
         };
-        let reps = if quick { 2 } else { 5 };
-        let (table, json) = tables::t19_engine_throughput(&t19_ns, 16, reps, threads, sorter);
+        let (table, json) = tables::t19_engine_throughput(&t19_ns, 16, threads, sorter);
         out.push(table);
         std::fs::write("BENCH_engine.json", json).expect("write BENCH_engine.json");
     }

@@ -52,6 +52,23 @@ impl Table {
     }
 }
 
+/// Interleaved timed repetitions behind every median (interquartile
+/// range) wall-clock cell of T16 and T19.
+const TIMING_REPS: usize = 5;
+
+/// `[lower quartile, median, upper quartile]` of wall-clock samples,
+/// interpolating linearly between order statistics.
+fn quartiles(samples: &[f64]) -> [f64; 3] {
+    let mut s = samples.to_vec();
+    s.sort_by(f64::total_cmp);
+    let at = |p: f64| {
+        let x = p * (s.len() - 1) as f64;
+        let lo = x.floor() as usize;
+        s[lo] + (s[x.ceil() as usize] - s[lo]) * (x - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
+
 /// A simulator configuration on `threads` engine workers and `sorter`
 /// (results never depend on `threads`).
 fn sim_config(n: u64, memory: u64, threads: usize, sorter: Sorter) -> SimConfig {
@@ -1057,59 +1074,80 @@ pub fn t14_q_sweep(n: u64, threads: usize, sorter: Sorter) -> Table {
 /// may differ. Wall-clock columns vary run to run and machine to
 /// machine, so the CI determinism matrix diffs T12/T2 instead of T16;
 /// speedups above 1 require actual cores (single-core hosts show ~1×
-/// with banding overhead).
+/// with banding overhead). Each thread count keeps one warm engine; 5
+/// timed runs are interleaved across thread counts and reported as the
+/// median with the interquartile range.
 pub fn t16_parallel_speedup(n: u64, packets_per_node: u64, threads: &[usize]) -> Table {
     use prasim_mesh::engine::{Engine, Packet};
     use std::time::Instant;
 
     let shape = MeshShape::square_of(n).expect("square n");
     let full = Rect::full(shape);
-    let mut rows = Vec::new();
-    let mut base_wall = None;
-    let mut base_obs = None;
-    for &t in threads {
-        let mut engine = Engine::new(shape).with_threads(t);
-        let mut rng = SplitMix64(0xC0FFEE ^ n);
-        let mut id = 0u64;
-        for node in 0..shape.nodes() as u32 {
-            let src = shape.coord(node);
-            for _ in 0..packets_per_node {
-                let dest = shape.coord((rng.next_u64() % shape.nodes()) as u32);
-                engine.inject(
-                    src,
-                    Packet {
-                        id,
-                        dest,
-                        bounds: full,
-                        tag: id,
-                    },
-                );
-                id += 1;
-            }
+    let mut rng = SplitMix64(0xC0FFEE ^ n);
+    let mut workload = Vec::with_capacity((n * packets_per_node) as usize);
+    for node in 0..shape.nodes() as u32 {
+        let src = shape.coord(node);
+        for _ in 0..packets_per_node {
+            let id = workload.len() as u64;
+            let dest = shape.coord((rng.next_u64() % shape.nodes()) as u32);
+            let pkt = Packet {
+                id,
+                dest,
+                bounds: full,
+                tag: id,
+            };
+            workload.push((src, pkt));
         }
-        let t0 = Instant::now();
-        let stats = engine.run(100_000_000).expect("routing finishes");
-        let wall = t0.elapsed().as_secs_f64();
-        let obs = (stats, engine.take_delivered().len());
-        let base = *base_wall.get_or_insert(wall);
-        match &base_obs {
-            None => base_obs = Some(obs),
-            Some(b) => assert_eq!(b, &obs, "determinism violated at {t} threads"),
-        }
-        rows.push(vec![
-            t.to_string(),
-            stats.steps.to_string(),
-            stats.delivered.to_string(),
-            stats.total_hops.to_string(),
-            stats.max_queue.to_string(),
-            format!("{:.3}", wall),
-            format!("{:.2}x", base / wall),
-        ]);
     }
+    let run = |e: &mut Engine| {
+        e.reset();
+        for &(src, pkt) in &workload {
+            e.inject(src, pkt);
+        }
+        let stats = e.run(100_000_000).expect("routing finishes");
+        (stats, e.drain_delivered().count())
+    };
+    let mut engines: Vec<Engine> = threads
+        .iter()
+        .map(|&t| Engine::new(shape).with_threads(t))
+        .collect();
+    // One untimed warm-up run per engine fixes the observables.
+    let obs: Vec<_> = engines.iter_mut().map(run).collect();
+    for (&t, o) in threads.iter().zip(&obs) {
+        assert_eq!(&obs[0], o, "determinism violated at {t} threads");
+    }
+    let mut walls = vec![Vec::with_capacity(TIMING_REPS); threads.len()];
+    for _ in 0..TIMING_REPS {
+        for (engine, wall) in engines.iter_mut().zip(&mut walls) {
+            let t0 = Instant::now();
+            let got = run(engine);
+            wall.push(t0.elapsed().as_secs_f64());
+            assert_eq!(got, obs[0], "warm engine run must repeat");
+        }
+    }
+    let (stats, _) = obs[0];
+    let base = quartiles(&walls[0])[1];
+    let rows = threads
+        .iter()
+        .zip(&walls)
+        .map(|(t, wall)| {
+            let [q1, med, q3] = quartiles(wall);
+            vec![
+                t.to_string(),
+                stats.steps.to_string(),
+                stats.delivered.to_string(),
+                stats.total_hops.to_string(),
+                stats.max_queue.to_string(),
+                format!("{med:.3} ({q1:.3}–{q3:.3})"),
+                format!("{:.2}x", base / med),
+            ]
+        })
+        .collect();
     Table {
         id: "T16",
         title: format!(
-            "sharded engine — wall-clock scaling, n = {n}, {packets_per_node} packets/node \
+            "sharded engine — wall-clock scaling, n = {n}, {packets_per_node} packets/node, \
+             median (interquartile range) of {TIMING_REPS} interleaved reps \
              (steps/delivered/hops/queue identical by construction)"
         ),
         header: [
@@ -1411,7 +1449,6 @@ pub fn t18_context_reuse(
 pub fn t19_engine_throughput(
     ns: &[u64],
     packets_per_node: u64,
-    reps: u64,
     threads: usize,
     sorter: Sorter,
 ) -> (Table, String) {
@@ -1498,59 +1535,61 @@ pub fn t19_engine_throughput(
             "arena and legacy engines must agree on every observable"
         );
 
-        // Interleave the three runs' reps and keep the fastest rep of
-        // each: best-of-N is far more robust to scheduler noise than a
-        // single summed wall, and the interleaving exposes every run to
-        // the same background interference.
-        let mut arena_wall = f64::INFINITY;
-        let mut legacy_wall = f64::INFINITY;
-        let mut par_wall = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            assert_eq!(warm, run_arena(&mut arena), "arena run must repeat");
-            arena_wall = arena_wall.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            run_legacy(&mut legacy);
-            legacy_wall = legacy_wall.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            run_arena(&mut arena_par);
-            par_wall = par_wall.min(t0.elapsed().as_secs_f64());
-        }
-
+        // Interleave the three runs' reps so every run sees the same
+        // background interference; report each as the median steps/s
+        // with its interquartile range.
         let (stats, delivered) = warm;
         let total_steps = stats.steps as f64;
-        let arena_sps = total_steps / arena_wall;
-        let legacy_sps = total_steps / legacy_wall;
-        let par_sps = total_steps / par_wall;
-        let speedup = legacy_wall / arena_wall;
+        let mut arena_sps = Vec::with_capacity(TIMING_REPS);
+        let mut legacy_sps = Vec::with_capacity(TIMING_REPS);
+        let mut par_sps = Vec::with_capacity(TIMING_REPS);
+        for _ in 0..TIMING_REPS {
+            let t0 = Instant::now();
+            assert_eq!(warm, run_arena(&mut arena), "arena run must repeat");
+            arena_sps.push(total_steps / t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            run_legacy(&mut legacy);
+            legacy_sps.push(total_steps / t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            run_arena(&mut arena_par);
+            par_sps.push(total_steps / t0.elapsed().as_secs_f64());
+        }
+
+        let [arena, legacy, par] = [&arena_sps, &legacy_sps, &par_sps].map(|v| quartiles(v));
+        let speedup = arena[1] / legacy[1];
         if n == 4096 {
             headline = Some(speedup);
         }
+        let cell = |[q1, med, q3]: [f64; 3]| format!("{med:.0} ({q1:.0}–{q3:.0})");
+        let json = |name: &str, [q1, med, q3]: [f64; 3]| {
+            format!("\"{name}\": {med:.3}, \"{name}_iqr\": [{q1:.3}, {q3:.3}]")
+        };
         rows.push(vec![
             n.to_string(),
             sort_cost.steps.to_string(),
             stats.steps.to_string(),
             delivered.to_string(),
             stats.max_queue.to_string(),
-            format!("{legacy_sps:.0}"),
-            format!("{arena_sps:.0}"),
+            cell(legacy),
+            cell(arena),
             format!("{speedup:.2}x"),
-            format!("{par_sps:.0}"),
+            cell(par),
         ]);
         json_entries.push(format!(
-            "    {{\"n\": {n}, \"route_steps\": {}, \"legacy_steps_per_s\": \
-             {legacy_sps:.3}, \"arena_steps_per_s\": {arena_sps:.3}, \"speedup\": \
-             {speedup:.4}, \"arena_par_steps_per_s\": {par_sps:.3}}}",
+            "    {{\"n\": {n}, \"route_steps\": {}, {}, {}, \"speedup\": {speedup:.4}, {}}}",
             stats.steps,
+            json("legacy_steps_per_s", legacy),
+            json("arena_steps_per_s", arena),
+            json("arena_par_steps_per_s", par),
         ));
     }
     let headline = headline.unwrap_or(f64::NAN);
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"experiment\": \"T19\",\n  \"sorter\": \"{}\",\n  \"packets_per_node\": \
-         {packets_per_node},\n  \"reps\": {reps},\n  \"method\": \"best of reps, \
-         interleaved\",\n  \"threads\": {threads},\n  \"host_nproc\": {nproc},\n  \
-         \"entries\": [\n{}\n  ],\n  \"speedup_n4096\": {headline:.4}\n}}\n",
+         {packets_per_node},\n  \"reps\": {TIMING_REPS},\n  \"method\": \"median and \
+         interquartile range of reps, interleaved\",\n  \"threads\": {threads},\n  \
+         \"host_nproc\": {nproc},\n  \"entries\": [\n{}\n  ],\n  \"speedup_n4096\": {headline:.4}\n}}\n",
         sorter.name(),
         json_entries.join(",\n"),
     );
@@ -1559,7 +1598,8 @@ pub fn t19_engine_throughput(
             id: "T19",
             title: format!(
                 "engine step throughput — arena vs legacy storage on the raw T16 \
-                 workload, {packets_per_node} packets/node, best of {reps} reps, sorter = {} \
+                 workload, {packets_per_node} packets/node, median (interquartile range) of \
+                 {TIMING_REPS} interleaved reps, sorter = {} \
                  (all columns but steps/s and speedup are deterministic)",
                 sorter.name()
             ),

@@ -231,25 +231,6 @@ impl StepCtx<'_> {
         let dist = here.manhattan(dest);
         let bounds = arena.bounds(r);
         let budget = arena.budget(r);
-        // Candidates in deterministic preference order: the greedy XY
-        // direction, then any other improving direction, then the rest.
-        let mut order: [Option<Dir>; 4] = [Some(greedy), None, None, None];
-        let mut n = 1;
-        for improving_pass in [true, false] {
-            for d in Dir::ALL {
-                if d == greedy {
-                    continue;
-                }
-                let improves = self
-                    .shape
-                    .step(here, d)
-                    .is_some_and(|c| c.manhattan(dest) < dist);
-                if improves == improving_pass {
-                    order[n] = Some(d);
-                    n += 1;
-                }
-            }
-        }
         let usable = |dir: Dir| -> Option<(Dir, bool)> {
             let next = self.shape.step(here, dir)?;
             if !bounds.contains(next) {
@@ -273,6 +254,32 @@ impl StepCtx<'_> {
         // blocked wall instead of bouncing in place; reversal stays
         // available as a dead-end escape of last resort.
         let reverse = (s.last_dir != NO_DIR).then(|| Dir::ALL[s.last_dir as usize].opposite());
+        // Candidates in deterministic preference order: the greedy XY
+        // direction, then any other improving direction, then the rest.
+        // The greedy hop is tried on its own first; the others are only
+        // ranked when it fails.
+        if Some(greedy) != reverse {
+            if let Some(choice) = usable(greedy) {
+                return Some(choice);
+            }
+        }
+        let mut order: [Option<Dir>; 3] = [None; 3];
+        let mut n = 0;
+        for improving_pass in [true, false] {
+            for d in Dir::ALL {
+                if d == greedy {
+                    continue;
+                }
+                let improves = self
+                    .shape
+                    .step(here, d)
+                    .is_some_and(|c| c.manhattan(dest) < dist);
+                if improves == improving_pass {
+                    order[n] = Some(d);
+                    n += 1;
+                }
+            }
+        }
         if let Some(choice) = order
             .into_iter()
             .flatten()

@@ -10,13 +10,26 @@
 //! snake position, which realizes the alternating row directions) and
 //! column passes for `⌈log₂ rows⌉ + 1` phases.
 //!
+//! # How a pass is computed on the host
+//!
+//! A pass is *charged* as `L` merge-split rounds (`L·h` steps) but
+//! *computed* as one stable sort per line. All keys live in one flat
+//! buffer of `nodes·h` slots, node `p` owning `p·h..(p+1)·h`; a row is a
+//! contiguous slice and is sorted in place, a column is gathered top to
+//! bottom, sorted and scattered back. The two agree exactly: `L` rounds
+//! of odd-even merge-split sort a line of `L` pre-sorted blocks
+//! (Baudet–Stevenson), and every merge-split is a stable merge of
+//! adjacent blocks, so equal keys never cross and the pass yields
+//! precisely the stable sort of the line. Buffers, per-node fill and the
+//! phase count are therefore those of the round-by-round network.
+//!
 //! The paper charges `O(l₁√n)` for sorting, citing Kunde-style
 //! algorithms; shearsort is `O(l·√n·log n)` — the substitution and its
 //! (non-)impact on the reproduced claims are discussed in DESIGN.md §4.
 //! [`SortCost`] carries both the measured shearsort steps and the
 //! analytic Kunde-style charge so experiments can report either.
 
-use crate::snake::{column_positions, row_positions};
+use crate::snake::snake_index;
 
 /// Communication-cost account of a sorting/ranking operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,17 +77,16 @@ impl SortCost {
 pub fn shearsort<T: Ord + Copy>(items: &mut [Vec<T>], rows: u32, cols: u32, h: usize) -> SortCost {
     assert_eq!(items.len(), (rows as u64 * cols as u64) as usize);
     assert!(h >= 1);
-    // Pad to exactly h slots per node with None (= +infinity).
-    let mut buf: Vec<Vec<Option<T>>> = items
-        .iter()
-        .map(|v| {
-            assert!(v.len() <= h, "buffer exceeds h = {h}");
-            let mut b: Vec<Option<T>> = v.iter().copied().map(Some).collect();
-            b.sort_unstable_by(cmp_opt_key);
-            b.resize(h, None);
-            b
-        })
-        .collect();
+    // Node p owns buf[p·h..(p+1)·h]; unused slots hold None (= +infinity).
+    let mut buf: Vec<Option<T>> = vec![None; items.len() * h];
+    for (node, v) in buf.chunks_exact_mut(h).zip(items.iter()) {
+        assert!(v.len() <= h, "buffer exceeds h = {h}");
+        let keys = &mut node[..v.len()];
+        for (slot, &x) in keys.iter_mut().zip(v) {
+            *slot = Some(x);
+        }
+        keys.sort_unstable_by(cmp_opt_key);
+    }
 
     let mut cost = SortCost {
         steps: 0,
@@ -83,30 +95,29 @@ pub fn shearsort<T: Ord + Copy>(items: &mut [Vec<T>], rows: u32, cols: u32, h: u
     };
 
     let max_phases = rows.max(2).ilog2() + 2 + rows; // theory bound + safety margin
-    let mut merge_scratch: Vec<Option<T>> = Vec::with_capacity(2 * h);
-    let mut col_scratch: Vec<Vec<Option<T>>> = Vec::with_capacity(rows as usize);
+    let mut column: Vec<Option<T>> = Vec::with_capacity(rows as usize * h);
     loop {
         // Row pass: each row is a contiguous ascending chunk in snake
         // indexing. All rows run in parallel -> charge one line sort.
-        for r in 0..rows {
-            let range = row_positions(cols, r);
-            odd_even_line(&mut buf[range], h, &mut merge_scratch);
+        for row in buf.chunks_exact_mut(cols as usize * h) {
+            row.sort_by(cmp_opt_key);
         }
         cost.steps += cols as u64 * h as u64;
         cost.phases += 1;
-        if is_sorted(&buf) {
+        if buf.is_sorted_by(|a, b| cmp_opt_key(a, b).is_le()) {
             break;
         }
-        // Column pass.
+        // Column pass: gather top to bottom, sort, scatter back.
         for c in 0..cols {
-            let ps = column_positions(rows, cols, c);
-            col_scratch.clear();
-            for &p in &ps {
-                col_scratch.push(std::mem::take(&mut buf[p]));
+            column.clear();
+            for r in 0..rows {
+                let p = snake_index(cols, r, c) as usize * h;
+                column.extend_from_slice(&buf[p..p + h]);
             }
-            odd_even_line(&mut col_scratch, h, &mut merge_scratch);
-            for (&p, v) in ps.iter().zip(col_scratch.drain(..)) {
-                buf[p] = v;
+            column.sort_by(cmp_opt_key);
+            for (r, keys) in (0..rows).zip(column.chunks_exact(h)) {
+                let p = snake_index(cols, r, c) as usize * h;
+                buf[p..p + h].copy_from_slice(keys);
             }
         }
         cost.steps += rows as u64 * h as u64;
@@ -116,9 +127,9 @@ pub fn shearsort<T: Ord + Copy>(items: &mut [Vec<T>], rows: u32, cols: u32, h: u
         );
     }
 
-    for (slot, b) in items.iter_mut().zip(buf) {
+    for (slot, node) in items.iter_mut().zip(buf.chunks_exact(h)) {
         slot.clear();
-        slot.extend(b.into_iter().flatten());
+        slot.extend(node.iter().flatten());
     }
     cost
 }
@@ -134,79 +145,199 @@ fn cmp_opt_key<T: Ord>(a: &Option<T>, b: &Option<T>) -> std::cmp::Ordering {
     }
 }
 
-/// Odd-even transposition with merge-split over a line of blocks; `L`
-/// rounds sort `L` pre-sorted blocks. `scratch` is a reusable merge
-/// buffer (capacity `2h`) so repeated passes allocate nothing.
-fn odd_even_line<T: Ord + Copy>(
-    line: &mut [Vec<Option<T>>],
-    h: usize,
-    scratch: &mut Vec<Option<T>>,
-) {
-    let n = line.len();
-    if n <= 1 {
-        return;
-    }
-    for round in 0..n {
-        let start = round % 2;
-        let mut i = start;
-        while i + 1 < n {
-            merge_split(line, i, i + 1, h, scratch);
-            i += 2;
-        }
-    }
-}
+/// The round-by-round merge-split network the flat passes replace, kept
+/// as the differential oracle for [`shearsort`].
+#[cfg(test)]
+mod oracle {
+    use super::{cmp_opt_key, SortCost};
+    use crate::snake::snake_index;
 
-/// Merge two sorted blocks; lower `h` keys to `lo`, the rest to `hi`.
-fn merge_split<T: Ord + Copy>(
-    line: &mut [Vec<Option<T>>],
-    lo: usize,
-    hi: usize,
-    h: usize,
-    merged: &mut Vec<Option<T>>,
-) {
-    merged.clear();
-    {
-        let (a, b) = (&line[lo], &line[hi]);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            if cmp_opt_key(&a[i], &b[j]) != std::cmp::Ordering::Greater {
-                merged.push(a[i]);
-                i += 1;
-            } else {
-                merged.push(b[j]);
-                j += 1;
+    /// [`super::shearsort`] computed with `L` explicit merge-split
+    /// rounds per line over per-node `Vec`s.
+    pub fn shearsort<T: Ord + Copy>(
+        items: &mut [Vec<T>],
+        rows: u32,
+        cols: u32,
+        h: usize,
+    ) -> SortCost {
+        let mut buf: Vec<Vec<Option<T>>> = items
+            .iter()
+            .map(|v| {
+                let mut b: Vec<Option<T>> = v.iter().copied().map(Some).collect();
+                b.sort_unstable_by(cmp_opt_key);
+                b.resize(h, None);
+                b
+            })
+            .collect();
+        let mut cost = SortCost {
+            steps: 0,
+            analytic_steps: h as u64 * (rows as u64 + cols as u64),
+            phases: 0,
+        };
+        let mut scratch = Vec::with_capacity(2 * h);
+        let mut col: Vec<Vec<Option<T>>> = Vec::with_capacity(rows as usize);
+        loop {
+            for row in buf.chunks_exact_mut(cols as usize) {
+                odd_even_line(row, h, &mut scratch);
             }
-        }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
-    }
-    let split = merged.len().min(h);
-    line[lo].clear();
-    line[lo].extend_from_slice(&merged[..split]);
-    line[hi].clear();
-    line[hi].extend_from_slice(&merged[split..]);
-}
-
-/// Whether the buffers, concatenated in snake order, are sorted with all
-/// padding at the tail.
-fn is_sorted<T: Ord + Copy>(buf: &[Vec<Option<T>>]) -> bool {
-    let mut prev: Option<&Option<T>> = None;
-    for b in buf {
-        for x in b {
-            if let Some(p) = prev {
-                if cmp_opt_key(p, x) == std::cmp::Ordering::Greater {
-                    return false;
+            cost.steps += cols as u64 * h as u64;
+            cost.phases += 1;
+            if is_sorted(&buf) {
+                break;
+            }
+            for c in 0..cols {
+                let ps: Vec<usize> = (0..rows)
+                    .map(|r| snake_index(cols, r, c) as usize)
+                    .collect();
+                col.clear();
+                col.extend(ps.iter().map(|&p| std::mem::take(&mut buf[p])));
+                odd_even_line(&mut col, h, &mut scratch);
+                for (&p, v) in ps.iter().zip(col.drain(..)) {
+                    buf[p] = v;
                 }
             }
-            prev = Some(x);
+            cost.steps += rows as u64 * h as u64;
+        }
+        for (slot, b) in items.iter_mut().zip(buf) {
+            slot.clear();
+            slot.extend(b.into_iter().flatten());
+        }
+        cost
+    }
+
+    /// Odd-even transposition with merge-split: `L` rounds over a line
+    /// of `L` pre-sorted blocks.
+    fn odd_even_line<T: Ord + Copy>(
+        line: &mut [Vec<Option<T>>],
+        h: usize,
+        scratch: &mut Vec<Option<T>>,
+    ) {
+        let n = line.len();
+        for round in 0..n {
+            let mut i = round % 2;
+            while i + 1 < n {
+                merge_split(line, i, h, scratch);
+                i += 2;
+            }
         }
     }
-    true
+
+    /// Stable merge of blocks `lo` and `lo + 1`; the lower `h` keys stay
+    /// in `lo`, the rest go to `lo + 1`.
+    fn merge_split<T: Ord + Copy>(
+        line: &mut [Vec<Option<T>>],
+        lo: usize,
+        h: usize,
+        merged: &mut Vec<Option<T>>,
+    ) {
+        merged.clear();
+        {
+            let (a, b) = (&line[lo], &line[lo + 1]);
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < a.len() && j < b.len() {
+                if cmp_opt_key(&a[i], &b[j]).is_le() {
+                    merged.push(a[i]);
+                    i += 1;
+                } else {
+                    merged.push(b[j]);
+                    j += 1;
+                }
+            }
+            merged.extend_from_slice(&a[i..]);
+            merged.extend_from_slice(&b[j..]);
+        }
+        let split = merged.len().min(h);
+        line[lo].clear();
+        line[lo].extend_from_slice(&merged[..split]);
+        line[lo + 1].clear();
+        line[lo + 1].extend_from_slice(&merged[split..]);
+    }
+
+    fn is_sorted<T: Ord>(buf: &[Vec<Option<T>>]) -> bool {
+        buf.iter()
+            .flatten()
+            .is_sorted_by(|a, b| cmp_opt_key(a, b).is_le())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A key whose order ignores its payload, so equal keys are
+    /// distinguishable and any reordering of ties shows.
+    #[derive(Debug, Clone, Copy)]
+    struct Tagged {
+        key: u8,
+        payload: u32,
+    }
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl Eq for Tagged {}
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    fn exact(items: &[Vec<Tagged>]) -> Vec<Vec<(u8, u32)>> {
+        items
+            .iter()
+            .map(|v| v.iter().map(|t| (t.key, t.payload)).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat passes reproduce the round-by-round merge-split
+        /// network exactly: per-node buffers (payloads included, so tie
+        /// order counts), per-node fill and the whole `SortCost`.
+        #[test]
+        fn flat_passes_match_merge_split_oracle(
+            shape in (1u32..12, 1u32..12, 1usize..10),
+            full in any::<bool>(),
+            key_range in 1u8..=255,
+            seed in any::<u64>(),
+        ) {
+            let (rows, cols, h) = shape;
+            let mut state = seed | 1;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            let mut payload = 0u32;
+            let items: Vec<Vec<Tagged>> = (0..rows * cols)
+                .map(|_| {
+                    let fill = if full { h } else { next() as usize % (h + 1) };
+                    (0..fill)
+                        .map(|_| {
+                            payload += 1;
+                            Tagged { key: (next() % key_range as u64) as u8, payload }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut flat = items.clone();
+            let mut rounds = items;
+            let got = shearsort(&mut flat, rows, cols, h);
+            let want = oracle::shearsort(&mut rounds, rows, cols, h);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(exact(&flat), exact(&rounds));
+        }
+    }
 
     fn flatten<T: Copy>(items: &[Vec<T>]) -> Vec<T> {
         items.iter().flat_map(|v| v.iter().copied()).collect()
