@@ -155,8 +155,7 @@ pub fn cull_with(
     // Resolve every copy of every requested variable once.
     // resolved[p][leaf] = (node, slot, instances).
     let mut resolved: Vec<Vec<(u32, u64, Vec<u32>)>> = Vec::with_capacity(requests.len());
-    for (p, req) in requests.iter().enumerate() {
-        let _ = p;
+    for req in requests {
         match req {
             None => resolved.push(Vec::new()),
             Some(v) => {
@@ -213,8 +212,7 @@ pub fn cull_with(
             h = h.max(items[pos].len());
         }
         let sort_cost = ctx.sort(&mut items, shape.rows, shape.cols, h);
-        let (ranks, _counts, rank_cost) =
-            rank_sorted(&items, shape.rows, shape.cols, |&(page, _, _)| page);
+        let (ranks, rank_cost) = rank_sorted(&items, shape.rows, shape.cols, |&(page, _, _)| page);
 
         // --- Marking: the first `mark_bound` copies of each page. ---
         let mut marked: Vec<Vec<bool>> = requests

@@ -19,7 +19,7 @@ use crate::pram::Op;
 use prasim_exec::ExecCtx;
 use prasim_fault::{CopyFaultKind, FaultPlan};
 use prasim_hmos::{CopyReport, Hmos, QuorumRead, TargetSpec};
-use prasim_mesh::engine::{EngineError, Packet};
+use prasim_mesh::engine::{Engine, EngineError, Packet};
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::Coord;
 use prasim_sortnet::rank::rank_sorted;
@@ -153,6 +153,37 @@ struct Pkt {
     alive: bool, // false once a machine fault swallowed the packet
 }
 
+/// Runs one stage's injected route and folds its queue and drop counts
+/// into `report`. Every delivered packet moves to its node; a packet
+/// injected (`in_stage`) but not delivered was swallowed by a fault and
+/// is marked dead. Returns the route's steps and the stage's `δ`, the
+/// most packets delivered to one node.
+fn run_stage(
+    mut engine: Engine,
+    mut in_stage: Vec<bool>,
+    pkts: &mut [Pkt],
+    report: &mut ProtocolReport,
+    max_engine_steps: u64,
+    ctx: &mut ExecCtx,
+) -> Result<(u64, u64), EngineError> {
+    let stats = engine.run(max_engine_steps)?;
+    report.max_queue = report.max_queue.max(stats.max_queue);
+    report.dropped += stats.dropped;
+    let mut per_node: HashMap<u32, u64> = HashMap::new();
+    for (node, pkt) in engine.drain_delivered() {
+        in_stage[pkt.tag as usize] = false;
+        pkts[pkt.tag as usize].cur = node;
+        *per_node.entry(node).or_insert(0) += 1;
+    }
+    ctx.recycle(engine);
+    for (pkt, lost) in pkts.iter_mut().zip(in_stage) {
+        if lost {
+            pkt.alive = false;
+        }
+    }
+    Ok((stats.steps, per_node.values().copied().max().unwrap_or(0)))
+}
+
 /// Executes the access protocol for one PRAM step.
 ///
 /// `memory[node]` maps slots to cells. `ops[p]` / `selected[p]` give
@@ -253,8 +284,7 @@ pub fn access_protocol(
                 h = h.max(items[pos].len());
             }
             let mut cost = ctx.sort(items, rect.rows, rect.cols, h);
-            let (ranks, _counts, rank_cost) =
-                rank_sorted(items, rect.rows, rect.cols, |&(child, _)| child);
+            let (ranks, rank_cost) = rank_sorted(items, rect.rows, rect.cols, |&(child, _)| child);
             cost.add(rank_cost);
             if ctx.ledger().value(&cost) > ctx.ledger().value(&max_sort) {
                 max_sort = cost;
@@ -283,32 +313,23 @@ pub fn access_protocol(
                 }
             }
         }
-        let stats = engine.run(run.max_engine_steps)?;
-        report.max_queue = report.max_queue.max(stats.max_queue);
-        report.dropped += stats.dropped;
-        // Update positions and measure δ_{stage-1}.
-        let mut per_node: HashMap<u32, u64> = HashMap::new();
-        for (node, pkt) in engine.drain_delivered() {
-            in_stage[pkt.tag as usize] = false;
-            pkts[pkt.tag as usize].cur = node;
-            *per_node.entry(node).or_insert(0) += 1;
-        }
-        ctx.recycle(engine);
-        // Anything injected but not delivered was swallowed by a fault.
-        for (id, lost) in in_stage.into_iter().enumerate() {
-            if lost {
-                pkts[id].alive = false;
-            }
-        }
-        let max_node_load = per_node.values().copied().max().unwrap_or(0);
+        // Route, update positions and measure δ_{stage-1}.
+        let (route_steps, max_node_load) = run_stage(
+            engine,
+            in_stage,
+            &mut pkts,
+            &mut report,
+            run.max_engine_steps,
+            ctx,
+        )?;
         let sort_steps = ctx.ledger_mut().charge(&max_sort);
         report.stages.push(StageReport {
             stage,
             sort_steps,
-            route_steps: stats.steps,
+            route_steps,
             max_node_load,
         });
-        report.total_steps += sort_steps + stats.steps;
+        report.total_steps += sort_steps + route_steps;
     }
 
     // The slab is done growing: hand it back for the next step.
@@ -339,29 +360,21 @@ pub fn access_protocol(
                 },
             );
         }
-        let stats = engine.run(run.max_engine_steps)?;
-        report.max_queue = report.max_queue.max(stats.max_queue);
-        report.dropped += stats.dropped;
-        let mut per_node: HashMap<u32, u64> = HashMap::new();
-        for (node, pkt) in engine.drain_delivered() {
-            in_stage[pkt.tag as usize] = false;
-            pkts[pkt.tag as usize].cur = node;
-            *per_node.entry(node).or_insert(0) += 1;
-        }
-        ctx.recycle(engine);
-        for (id, lost) in in_stage.into_iter().enumerate() {
-            if lost {
-                pkts[id].alive = false;
-            }
-        }
-        let max_node_load = per_node.values().copied().max().unwrap_or(0);
+        let (route_steps, max_node_load) = run_stage(
+            engine,
+            in_stage,
+            &mut pkts,
+            &mut report,
+            run.max_engine_steps,
+            ctx,
+        )?;
         report.stages.push(StageReport {
             stage: 1,
             sort_steps: 0,
-            route_steps: stats.steps,
+            route_steps,
             max_node_load,
         });
-        report.total_steps += stats.steps;
+        report.total_steps += route_steps;
         report.access_steps = max_node_load;
         report.total_steps += max_node_load;
     }

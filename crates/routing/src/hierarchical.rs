@@ -96,7 +96,7 @@ pub fn route_hierarchical_ctx(
     out.add_sort(cost.steps);
 
     // Rank within destination-submesh groups.
-    let (ranks, _counts, rank_cost) = rank_sorted(&items, shape.rows, shape.cols, |&(key, _)| {
+    let (ranks, rank_cost) = rank_sorted(&items, shape.rows, shape.cols, |&(key, _)| {
         key / shape.nodes()
     });
     out.add_sort(rank_cost.steps);

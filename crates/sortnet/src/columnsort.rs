@@ -6,25 +6,20 @@
 //! permutations (reshape-transpose, its inverse, and a half-column
 //! shift).
 //!
-//! Two realizations live here:
-//!
-//! - [`columnsort`] — the flat *reference*: the algorithm run on a plain
-//!   slice with permutation phases charged at their balanced all-to-all
-//!   mesh cost. It backs the analytic accounting mode and the unit tests
-//!   of the phase structure.
-//! - [`columnsort_mesh`] — the fully **step-simulated** mesh sorter (the
-//!   default sorter of the simulation, [`crate::sorter::Sorter`]). Each
-//!   matrix column is a rectangular *block* of the mesh (blocks tile the
-//!   mesh in snake order over the block grid, so consecutive columns are
-//!   mesh-adjacent); the column-sorting phases run merge-split shearsort
-//!   inside every block in parallel, and the three fixed permutations —
-//!   plus the final block-major → snake relayout — are executed as
-//!   balanced packet routes on the store-and-forward engine
-//!   ([`prasim_mesh::engine::Engine`]) and charged at their *measured*
-//!   step count. The permutations are data-independent, so each route is
-//!   measured once per `(rows, cols, h, block-plan)` shape and memoized;
-//!   the engine is byte-deterministic for every worker count, which
-//!   makes the memoized costs thread-independent too.
+//! [`columnsort_mesh_with`] is the fully **step-simulated** mesh sorter
+//! (the default sorter of the simulation, [`crate::sorter::Sorter`]).
+//! Each matrix column is a rectangular *block* of the mesh (blocks tile
+//! the mesh in snake order over the block grid, so consecutive columns
+//! are mesh-adjacent); the column-sorting phases run shearsort's passes
+//! ([`mod@crate::shearsort`]) inside every block in parallel, in place on
+//! the block's slice of the matrix, and the three fixed permutations —
+//! plus the final block-major → snake relayout — are executed as
+//! balanced packet routes on the store-and-forward engine
+//! ([`prasim_mesh::engine::Engine`]) and charged at their *measured*
+//! step count. The permutations are data-independent, so each route is
+//! measured once per `(rows, cols, h, block-plan)` shape and memoized;
+//! the engine is byte-deterministic for every worker count, which makes
+//! the memoized costs thread-independent too.
 //!
 //! Why no log factor: the block plan maximizes the column count `s`
 //! under Leighton's feasibility rule `r ≥ 2(s-1)²`, which drives block
@@ -43,161 +38,8 @@ use prasim_mesh::pool::EnginePool;
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::MeshShape;
 
-use crate::shearsort::{shearsort, SortCost};
+use crate::shearsort::{shear_passes, Key, SortCost};
 use crate::snake::{snake_coord, snake_index};
-
-/// Sentinel-extended key: `NegInf < Val(x) < PosInf`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Key<T> {
-    NegInf,
-    Val(T),
-    PosInf,
-}
-
-/// Sorts `data` by recursive columnsort, charging mesh costs for a
-/// `rows × cols` submesh holding `h` keys per node
-/// (`data.len() ≤ rows·cols·h`). Returns the charged cost.
-pub fn columnsort<T: Ord + Copy>(data: &mut [T], rows: u32, cols: u32, h: usize) -> SortCost {
-    let mut keys: Vec<Key<T>> = data.iter().map(|&x| Key::Val(x)).collect();
-    // Pad to the full mesh capacity so column counts divide evenly.
-    let capacity = rows as usize * cols as usize * h;
-    debug_assert!(data.len() <= capacity, "data exceeds mesh capacity");
-    keys.resize(capacity, Key::PosInf);
-    let cost = sort_rec(&mut keys, rows, cols, h);
-    for (slot, key) in data.iter_mut().zip(keys) {
-        match key {
-            Key::Val(x) => *slot = x,
-            _ => unreachable!("padding cannot precede real keys after sorting"),
-        }
-    }
-    cost
-}
-
-/// Picks the number of columns: the largest divisor `s` of `cols` with
-/// `s ≥ 2` and `r = len/s ≥ 2(s-1)²` (Leighton's feasibility rule).
-fn pick_s(len: usize, cols: u32) -> Option<u32> {
-    let mut best = None;
-    for s in 2..=cols {
-        if !cols.is_multiple_of(s) || s as usize > len {
-            continue;
-        }
-        let r = len / s as usize;
-        if r >= 2 * (s as usize - 1) * (s as usize - 1) {
-            best = Some(s);
-        }
-    }
-    best
-}
-
-fn sort_rec<T: Ord + Copy>(v: &mut [Key<T>], rows: u32, cols: u32, h: usize) -> SortCost {
-    let len = v.len();
-    let s = match pick_s(len, cols) {
-        Some(s) if len >= 8 => s,
-        // Base case: a strip too small to split — charge one odd-even
-        // line sort of the strip (len/h nodes, h keys each).
-        _ => {
-            v.sort_unstable();
-            return SortCost {
-                steps: len as u64,
-                analytic_steps: len as u64,
-                phases: 0,
-            };
-        }
-    };
-    let r = len / s as usize;
-    let strip_cols = cols / s;
-    let mut cost = SortCost::default();
-
-    // The three permutation phases each cost one balanced all-to-all
-    // between strips: h keys per node crossing at most (rows + cols)
-    // distance with full wire parallelism.
-    let perm_cost = h as u64 * (rows as u64 + cols as u64);
-
-    // Phase 1: sort columns (parallel strips — charge the max, which is
-    // equal across strips).
-    cost.add(sort_columns(v, r, s, rows, strip_cols, h));
-    // Phase 2: reshape-transpose.
-    transpose(v, r, s as usize);
-    cost.steps += perm_cost;
-    cost.analytic_steps += perm_cost;
-    // Phase 3.
-    cost.add(sort_columns(v, r, s, rows, strip_cols, h));
-    // Phase 4: inverse reshape.
-    untranspose(v, r, s as usize);
-    cost.steps += perm_cost;
-    cost.analytic_steps += perm_cost;
-    // Phase 5.
-    cost.add(sort_columns(v, r, s, rows, strip_cols, h));
-    // Phases 6–8: shift down by r/2, sort columns, unshift. The shift is
-    // realized on the padded array with ±∞ sentinels.
-    let half = r / 2;
-    let mut shifted: Vec<Key<T>> = Vec::with_capacity(len + r);
-    shifted.extend(std::iter::repeat_n(Key::NegInf, half));
-    shifted.extend_from_slice(v);
-    shifted.extend(std::iter::repeat_n(Key::PosInf, r - half));
-    cost.steps += perm_cost;
-    cost.analytic_steps += perm_cost;
-    for col in shifted.chunks_mut(r) {
-        // one extra column: charge once more below
-        col.sort_unstable();
-    }
-    cost.add(SortCost {
-        steps: r as u64,
-        analytic_steps: r as u64,
-        phases: 0,
-    });
-    v.copy_from_slice(&shifted[half..half + len]);
-
-    cost
-}
-
-/// Sorts each of the `s` columns (length `r`, stored contiguously)
-/// recursively; strips run in parallel so the cost is the maximum.
-fn sort_columns<T: Ord + Copy>(
-    v: &mut [Key<T>],
-    r: usize,
-    s: u32,
-    rows: u32,
-    strip_cols: u32,
-    h: usize,
-) -> SortCost {
-    let mut max = SortCost::default();
-    for col in v.chunks_mut(r) {
-        debug_assert_eq!(col.len(), r);
-        let c = sort_rec(col, rows, strip_cols.max(1), h);
-        if c.steps > max.steps {
-            max = c;
-        }
-    }
-    let _ = s;
-    max
-}
-
-/// Phase-2 permutation: read the `r × s` column-major matrix in
-/// column-major element order and refill it in row-major order.
-fn transpose<T: Copy>(v: &mut [Key<T>], r: usize, s: usize) {
-    let old = v.to_vec();
-    for (seq, &x) in old.iter().enumerate() {
-        // Element `seq` goes to row-major slot seq -> (i, j) with
-        // i = seq / s, j = seq % s; column-major index = j*r + i.
-        let (i, j) = (seq / s, seq % s);
-        v[j * r + i] = x;
-    }
-}
-
-/// Phase-4 permutation: the exact inverse of [`transpose`] — sequence
-/// element `t` (row-major pickup) returns to column-major slot `t`:
-/// `new[t] = old[(t mod s)·r + t div s]`.
-fn untranspose<T: Copy>(v: &mut [Key<T>], r: usize, s: usize) {
-    let old = v.to_vec();
-    for (t, slot) in v.iter_mut().enumerate() {
-        *slot = old[(t % s) * r + t / s];
-    }
-}
-
-// ---------------------------------------------------------------------
-// Step-simulated mesh columnsort.
-// ---------------------------------------------------------------------
 
 /// How matrix columns tile the mesh: an `sr × sc` grid of
 /// `brows × bcols` blocks, visited in snake order over the block grid
@@ -440,31 +282,14 @@ fn perm_cost(
     cost
 }
 
-/// Sorts each matrix column (= mesh block) with merge-split shearsort
-/// run *inside* the block; all blocks sort in parallel, so the charge is
-/// the maximum measured cost. `scratch` is the reusable per-node buffer
-/// arena.
-fn sort_blocks<T: Ord + Copy>(
-    a: &mut [Key<T>],
-    h: usize,
-    plan: &BlockPlan,
-    scratch: &mut Vec<Vec<Key<T>>>,
-) -> u64 {
-    let bn = (plan.brows * plan.bcols) as usize;
-    if scratch.len() != bn {
-        scratch.resize_with(bn, Vec::new);
-    }
+/// Sorts each matrix column (= mesh block) with shearsort run *inside*
+/// the block, in place: a column's `r` slots are already the block's
+/// snake-indexed buffer (local node `ln` owns `ln·h..(ln+1)·h`). All
+/// blocks sort in parallel, so the charge is the maximum measured cost.
+fn sort_blocks<T: Ord + Copy>(a: &mut [Key<T>], h: usize, plan: &BlockPlan) -> u64 {
     let mut worst = 0u64;
-    for col in a.chunks_mut(plan.r) {
-        for (ln, buf) in scratch.iter_mut().enumerate() {
-            buf.clear();
-            buf.extend_from_slice(&col[ln * h..(ln + 1) * h]);
-        }
-        let c = shearsort(scratch, plan.brows, plan.bcols, h);
-        worst = worst.max(c.steps);
-        for (ln, buf) in scratch.iter().enumerate() {
-            col[ln * h..(ln + 1) * h].copy_from_slice(buf);
-        }
+    for col in a.chunks_exact_mut(plan.r) {
+        worst = worst.max(shear_passes(col, plan.brows, plan.bcols, h).steps);
     }
     worst
 }
@@ -529,34 +354,20 @@ fn snake_line_sort<T: Ord + Copy>(
 /// the buffers in snake order is sorted and balanced `h` per node (the
 /// trailing nodes hold the remainder).
 ///
-/// Cost accounting: the four column-sorting phases charge the *maximum*
-/// measured in-block shearsort (blocks run in parallel); the transpose,
+/// Cost accounting: the column-sorting phases 1, 3 and 5 charge the
+/// *maximum* measured in-block shearsort (blocks run in parallel); the transpose,
 /// untranspose, boundary-exchange and final-relayout permutations charge
 /// their engine-measured route costs (memoized per shape — the routes
 /// are fixed and data-independent). `analytic_steps` stays the paper's
 /// `h·(rows+cols)` charge, as for shearsort.
 ///
+/// `engines` serves the permutation-route measurements (reusing buffers
+/// across measurements and calls) and `memo` carries the per-shape route
+/// costs — both normally owned by an execution context (`prasim-exec`);
+/// [`crate::sorter::Sorter::sort`] supplies throwaway ones.
+///
 /// # Panics
 /// Panics if any buffer exceeds `h` keys or `items.len() != rows·cols`.
-pub fn columnsort_mesh<T: Ord + Copy>(
-    items: &mut [Vec<T>],
-    rows: u32,
-    cols: u32,
-    h: usize,
-) -> SortCost {
-    // Compatibility entry point: an ephemeral pool + memo. The memo is
-    // wall-clock-only caching (charged costs are identical either way),
-    // so standalone calls lose nothing but the reuse an execution
-    // context would provide.
-    let mut engines = EnginePool::new();
-    let mut memo = RouteMemo::new();
-    columnsort_mesh_with(items, rows, cols, h, &mut engines, &mut memo)
-}
-
-/// [`columnsort_mesh`] with caller-owned execution resources: `engines`
-/// serves the permutation-route measurements (reusing buffers across
-/// measurements and calls) and `memo` carries the per-shape route costs
-/// — both normally owned by an execution context (`prasim-exec`).
 pub fn columnsort_mesh_with<T: Ord + Copy>(
     items: &mut [Vec<T>],
     rows: u32,
@@ -589,11 +400,10 @@ pub fn columnsort_mesh_with<T: Ord + Copy>(
     }
 
     let mut steps = 0u64;
-    let mut blk_scratch: Vec<Vec<Key<T>>> = Vec::new();
     let mut perm_scratch: Vec<Key<T>> = Vec::with_capacity(slots);
 
     // Phase 1: sort columns (blocks, in parallel).
-    steps += sort_blocks(&mut a, h, &plan, &mut blk_scratch);
+    steps += sort_blocks(&mut a, h, &plan);
     // Phase 2: reshape-transpose (engine-measured fixed route).
     perm_scratch.clear();
     perm_scratch.extend_from_slice(&a);
@@ -610,7 +420,7 @@ pub fn columnsort_mesh_with<T: Ord + Copy>(
         memo,
     );
     // Phase 3.
-    steps += sort_blocks(&mut a, h, &plan, &mut blk_scratch);
+    steps += sort_blocks(&mut a, h, &plan);
     // Phase 4: inverse reshape.
     perm_scratch.clear();
     perm_scratch.extend_from_slice(&a);
@@ -627,7 +437,7 @@ pub fn columnsort_mesh_with<T: Ord + Copy>(
         memo,
     );
     // Phase 5.
-    steps += sort_blocks(&mut a, h, &plan, &mut blk_scratch);
+    steps += sort_blocks(&mut a, h, &plan);
     // Phases 6–8 as disjoint adjacent-column boundary merges.
     merge_adjacent(&mut a, r, s, &mut perm_scratch);
     steps += perm_cost(
@@ -669,6 +479,7 @@ pub fn columnsort_mesh_with<T: Ord + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sorter::Sorter;
 
     fn lcg(n: usize, seed: u64) -> Vec<u64> {
         let mut state = seed | 1;
@@ -680,87 +491,6 @@ mod tests {
                 state >> 33
             })
             .collect()
-    }
-
-    #[test]
-    fn sorts_exactly_across_shapes() {
-        for &(rows, cols, h) in &[
-            (4u32, 4u32, 1usize),
-            (8, 8, 1),
-            (8, 8, 4),
-            (16, 16, 2),
-            (32, 32, 1),
-            (16, 64, 3),
-        ] {
-            let n = (rows * cols) as usize * h;
-            let mut data = lcg(n, rows as u64 * 31 + h as u64);
-            let mut expect = data.clone();
-            expect.sort_unstable();
-            let cost = columnsort(&mut data, rows, cols, h);
-            assert_eq!(data, expect, "rows={rows} cols={cols} h={h}");
-            assert!(cost.steps > 0);
-        }
-    }
-
-    #[test]
-    fn sorts_partial_fill() {
-        // Fewer keys than mesh capacity: padding must vanish cleanly.
-        let mut data = lcg(1000, 7);
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        columnsort(&mut data, 16, 16, 4); // capacity 1024
-        assert_eq!(data, expect);
-    }
-
-    #[test]
-    fn sorts_adversarial_orders() {
-        let n = 1024usize;
-        let mut rev: Vec<u64> = (0..n as u64).rev().collect();
-        let expect: Vec<u64> = (0..n as u64).collect();
-        columnsort(&mut rev, 32, 32, 1);
-        assert_eq!(rev, expect);
-
-        let mut eq = vec![7u64; n];
-        columnsort(&mut eq, 32, 32, 1);
-        assert_eq!(eq, vec![7u64; n]);
-    }
-
-    #[test]
-    fn cost_beats_shearsort_asymptotically() {
-        // The charged cost must scale ~√n while shearsort carries its
-        // log factor: the ratio columnsort/shearsort shrinks with n.
-        use crate::shearsort::shearsort;
-        let mut ratios = Vec::new();
-        for side in [16u32, 32, 64, 128] {
-            let n = (side * side) as usize;
-            let mut a = lcg(n, 3);
-            let cc = columnsort(&mut a, side, side, 1);
-            let mut items: Vec<Vec<u64>> = lcg(n, 3).into_iter().map(|x| vec![x]).collect();
-            let sc = shearsort(&mut items, side, side, 1);
-            ratios.push(cc.steps as f64 / sc.steps as f64);
-        }
-        assert!(
-            ratios.last().unwrap() < ratios.first().unwrap(),
-            "ratios should shrink: {ratios:?}"
-        );
-    }
-
-    #[test]
-    fn feasibility_rule() {
-        // s is the largest divisor of cols with r ≥ 2(s-1)².
-        assert_eq!(pick_s(1024, 32), Some(8)); // r=128 ≥ 2·49=98
-        assert_eq!(pick_s(64, 8), Some(2)); // s=4 needs r=16 ≥ 18: no
-        assert_eq!(pick_s(16, 4), Some(2));
-        assert_eq!(pick_s(4, 1), None);
-        // Non-power-of-two divisors are now considered (satellite fix):
-        // cols=12 admits s=4 (r=36 ≥ 2·9=18); s=6 needs r=24 ≥ 50: no.
-        assert_eq!(pick_s(144, 12), Some(4));
-        // cols=6, len=216: s=6 needs r=36 ≥ 50: no; s=3 gives r=72 ≥ 8.
-        assert_eq!(pick_s(216, 6), Some(3));
-        // A prime width still splits once r is large enough (previously
-        // any odd width degenerated to a single-column sort).
-        assert_eq!(pick_s(98, 7), None); // r=14 < 2·36=72
-        assert_eq!(pick_s(504, 7), Some(7)); // r=72 ≥ 72
     }
 
     fn mesh_items(n: usize, h: usize, seed: u64) -> Vec<Vec<u64>> {
@@ -785,7 +515,7 @@ mod tests {
             let mut items = mesh_items(n, h, rows as u64 * 131 + h as u64);
             let mut expect: Vec<u64> = items.iter().flatten().copied().collect();
             expect.sort_unstable();
-            let cost = columnsort_mesh(&mut items, rows, cols, h);
+            let cost = Sorter::Columnsort.sort(&mut items, rows, cols, h);
             let got: Vec<u64> = items.iter().flatten().copied().collect();
             assert_eq!(got, expect, "rows={rows} cols={cols} h={h}");
             assert!(cost.steps > 0);
@@ -807,7 +537,7 @@ mod tests {
             .collect();
         let mut expect: Vec<u64> = items.iter().flatten().copied().collect();
         expect.sort_unstable();
-        columnsort_mesh(&mut items, rows, cols, h);
+        Sorter::Columnsort.sort(&mut items, rows, cols, h);
         let got: Vec<u64> = items.iter().flatten().copied().collect();
         assert_eq!(got, expect);
         let total = expect.len();
@@ -822,8 +552,8 @@ mod tests {
     fn mesh_cost_is_deterministic_and_cached() {
         let mut a = mesh_items(256, 2, 11);
         let mut b = a.clone();
-        let c1 = columnsort_mesh(&mut a, 16, 16, 2);
-        let c2 = columnsort_mesh(&mut b, 16, 16, 2);
+        let c1 = Sorter::Columnsort.sort(&mut a, 16, 16, 2);
+        let c2 = Sorter::Columnsort.sort(&mut b, 16, 16, 2);
         assert_eq!(c1, c2);
     }
 
@@ -834,7 +564,7 @@ mod tests {
         let mut a = mesh_items(256, 2, 11);
         let mut b = a.clone();
         let mut c = a.clone();
-        let solo = columnsort_mesh(&mut a, 16, 16, 2);
+        let solo = Sorter::Columnsort.sort(&mut a, 16, 16, 2);
         let c1 = columnsort_mesh_with(&mut b, 16, 16, 2, &mut engines, &mut memo);
         assert_eq!(solo, c1, "context resources must not change the cost");
         assert_eq!(a, b, "context resources must not change the output");
@@ -853,7 +583,7 @@ mod tests {
         let n = (side * side) as usize;
         let mut a = mesh_items(n, 1, 3);
         let mut b = a.clone();
-        let cc = columnsort_mesh(&mut a, side, side, 1);
+        let cc = Sorter::Columnsort.sort(&mut a, side, side, 1);
         let sc = shearsort(&mut b, side, side, 1);
         assert_eq!(a, b, "both sorters must agree");
         assert!(

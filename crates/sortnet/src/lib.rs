@@ -15,10 +15,12 @@
 //! - [`snake`]: snake-order indexing of a rectangular region.
 //! - [`mod@sorter`]: the pluggable sorter dispatch (default:
 //!   columnsort).
-//! - [`mod@shearsort`]: merge-split shearsort of `l` keys per node.
-//! - [`mod@columnsort`]: Leighton's columnsort — both the flat
-//!   reference and the step-simulated mesh realization
-//!   ([`columnsort::columnsort_mesh`]).
+//! - [`mod@shearsort`]: merge-split shearsort of `l` keys per node; its
+//!   passes over a flat snake-indexed buffer are the one block sorter,
+//!   run on the whole mesh by shearsort and inside every block by
+//!   columnsort.
+//! - [`mod@columnsort`]: the step-simulated Leighton columnsort
+//!   ([`columnsort::columnsort_mesh_with`]).
 //! - [`rank`]: segmented ranking / prefix operations over sorted keys.
 //! - [`broadcast`]: segmented broadcast (prefix copy) for request
 //!   combining.
@@ -45,7 +47,7 @@ pub mod snake;
 pub mod sorter;
 
 pub use broadcast::segmented_broadcast;
-pub use columnsort::{columnsort, columnsort_mesh, columnsort_mesh_with, RouteMemo};
+pub use columnsort::{columnsort_mesh_with, RouteMemo};
 pub use rank::rank_sorted;
 pub use shearsort::{shearsort, SortCost};
 pub use snake::snake_index;

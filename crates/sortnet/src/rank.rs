@@ -9,28 +9,25 @@
 //! and charge exactly that cost (see DESIGN.md §4).
 
 use crate::shearsort::SortCost;
-use std::collections::HashMap;
-use std::hash::Hash;
 
 /// Ranks items within groups along the snake order.
 ///
 /// `items` must already be sorted so that equal groups are contiguous
 /// (e.g. by [`crate::shearsort::shearsort`] on a key with the group as
-/// prefix). Returns per-item ranks (aligned with `items`), the total
-/// count per group, and the cost charge.
+/// prefix). Returns per-item ranks (aligned with `items`) and the cost
+/// charge.
 pub fn rank_sorted<T, G, F>(
     items: &[Vec<T>],
     rows: u32,
     cols: u32,
     mut group_of: F,
-) -> (Vec<Vec<u64>>, HashMap<G, u64>, SortCost)
+) -> (Vec<Vec<u64>>, SortCost)
 where
-    G: Eq + Hash + Copy,
+    G: Eq + Copy,
     F: FnMut(&T) -> G,
 {
     let h = items.iter().map(|v| v.len()).max().unwrap_or(0);
     let mut ranks: Vec<Vec<u64>> = Vec::with_capacity(items.len());
-    let mut counts: HashMap<G, u64> = HashMap::new();
     let mut current: Option<(G, u64)> = None;
     for buf in items {
         let mut r = Vec::with_capacity(buf.len());
@@ -42,7 +39,6 @@ where
             };
             r.push(next);
             current = Some((g, next));
-            *counts.entry(g).or_insert(0) = next + 1;
         }
         ranks.push(r);
     }
@@ -51,13 +47,14 @@ where
         analytic_steps: 2 * h as u64 * (rows as u64 + cols as u64),
         phases: 0,
     };
-    (ranks, counts, cost)
+    (ranks, cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shearsort::shearsort;
+    use std::collections::HashMap;
 
     #[test]
     fn ranks_within_contiguous_groups() {
@@ -68,19 +65,15 @@ mod tests {
             vec![(1, 21)],
             vec![(2, 30), (2, 31), (2, 32)],
         ];
-        let (ranks, counts, _) = rank_sorted(&items, 2, 2, |t| t.0);
+        let (ranks, _) = rank_sorted(&items, 2, 2, |t| t.0);
         assert_eq!(ranks, vec![vec![0, 1], vec![2, 0], vec![1], vec![0, 1, 2]]);
-        assert_eq!(counts[&0], 3);
-        assert_eq!(counts[&1], 2);
-        assert_eq!(counts[&2], 3);
     }
 
     #[test]
     fn empty_buffers_ok() {
         let items: Vec<Vec<(u64, u64)>> = vec![vec![], vec![(5, 1)], vec![], vec![(5, 2)]];
-        let (ranks, counts, _) = rank_sorted(&items, 2, 2, |t| t.0);
+        let (ranks, _) = rank_sorted(&items, 2, 2, |t| t.0);
         assert_eq!(ranks, vec![vec![], vec![0], vec![], vec![1]]);
-        assert_eq!(counts[&5], 2);
     }
 
     #[test]
@@ -100,8 +93,9 @@ mod tests {
             })
             .collect();
         shearsort(&mut items, rows, cols, h);
-        let (ranks, counts, _) = rank_sorted(&items, rows, cols, |t| t.0);
-        // Each (group, rank) pair must be unique and dense per group.
+        let (ranks, _) = rank_sorted(&items, rows, cols, |t| t.0);
+        // Each (group, rank) pair must be unique and dense per group:
+        // a group's ranks are exactly 0..size, size counted directly.
         let mut seen: HashMap<u64, Vec<u64>> = HashMap::new();
         for (buf, rbuf) in items.iter().zip(&ranks) {
             for ((g, _), &r) in buf.iter().zip(rbuf) {
@@ -110,7 +104,7 @@ mod tests {
         }
         for (g, mut rs) in seen {
             rs.sort_unstable();
-            let expect: Vec<u64> = (0..counts[&g]).collect();
+            let expect: Vec<u64> = (0..rs.len() as u64).collect();
             assert_eq!(rs, expect, "group {g} ranks not dense");
         }
     }

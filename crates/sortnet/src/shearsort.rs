@@ -22,6 +22,9 @@
 //! adjacent blocks, so equal keys never cross and the pass yields
 //! precisely the stable sort of the line. Buffers, per-node fill and the
 //! phase count are therefore those of the round-by-round network.
+//! The passes run over any such buffer: [`shearsort`] packs its per-node
+//! `Vec`s into one, and columnsort runs them in place on each block of
+//! its matrix, whose slots already have this layout.
 //!
 //! The paper charges `O(l₁√n)` for sorting, citing Kunde-style
 //! algorithms; shearsort is `O(l·√n·log n)` — the substitution and its
@@ -65,6 +68,14 @@ impl SortCost {
     }
 }
 
+/// A key padded with `+∞`: `Val(x) < PosInf`. Empty slots of a node's
+/// `h`-slot buffer hold `PosInf`, so they sort after every real key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Key<T> {
+    Val(T),
+    PosInf,
+}
+
 /// Sorts `h`-key-per-node buffers into snake order.
 ///
 /// `items` is indexed by snake position (`items.len() == rows·cols`);
@@ -77,17 +88,35 @@ impl SortCost {
 pub fn shearsort<T: Ord + Copy>(items: &mut [Vec<T>], rows: u32, cols: u32, h: usize) -> SortCost {
     assert_eq!(items.len(), (rows as u64 * cols as u64) as usize);
     assert!(h >= 1);
-    // Node p owns buf[p·h..(p+1)·h]; unused slots hold None (= +infinity).
-    let mut buf: Vec<Option<T>> = vec![None; items.len() * h];
+    let mut buf: Vec<Key<T>> = vec![Key::PosInf; items.len() * h];
     for (node, v) in buf.chunks_exact_mut(h).zip(items.iter()) {
         assert!(v.len() <= h, "buffer exceeds h = {h}");
-        let keys = &mut node[..v.len()];
-        for (slot, &x) in keys.iter_mut().zip(v) {
-            *slot = Some(x);
+        for (slot, &x) in node.iter_mut().zip(v) {
+            *slot = Key::Val(x);
         }
-        keys.sort_unstable_by(cmp_opt_key);
     }
+    let cost = shear_passes(&mut buf, rows, cols, h);
+    for (slot, node) in items.iter_mut().zip(buf.chunks_exact(h)) {
+        slot.clear();
+        slot.extend(node.iter().map_while(|k| match *k {
+            Key::Val(x) => Some(x),
+            Key::PosInf => None,
+        }));
+    }
+    cost
+}
 
+/// Shearsort over a flat snake-indexed buffer of `rows·cols·h` slots,
+/// node `p` owning `buf[p·h..(p+1)·h]`. On return `buf` is sorted. The
+/// first row pass stably sorts every row, so a node's keys need no local
+/// sort beforehand: sorting them first would leave the same buffer.
+pub(crate) fn shear_passes<K: Ord + Copy>(
+    buf: &mut [K],
+    rows: u32,
+    cols: u32,
+    h: usize,
+) -> SortCost {
+    debug_assert_eq!(buf.len(), rows as usize * cols as usize * h);
     let mut cost = SortCost {
         steps: 0,
         analytic_steps: h as u64 * (rows as u64 + cols as u64),
@@ -95,16 +124,16 @@ pub fn shearsort<T: Ord + Copy>(items: &mut [Vec<T>], rows: u32, cols: u32, h: u
     };
 
     let max_phases = rows.max(2).ilog2() + 2 + rows; // theory bound + safety margin
-    let mut column: Vec<Option<T>> = Vec::with_capacity(rows as usize * h);
+    let mut column: Vec<K> = Vec::with_capacity(rows as usize * h);
     loop {
         // Row pass: each row is a contiguous ascending chunk in snake
         // indexing. All rows run in parallel -> charge one line sort.
         for row in buf.chunks_exact_mut(cols as usize * h) {
-            row.sort_by(cmp_opt_key);
+            row.sort();
         }
         cost.steps += cols as u64 * h as u64;
         cost.phases += 1;
-        if buf.is_sorted_by(|a, b| cmp_opt_key(a, b).is_le()) {
+        if buf.is_sorted() {
             break;
         }
         // Column pass: gather top to bottom, sort, scatter back.
@@ -114,7 +143,7 @@ pub fn shearsort<T: Ord + Copy>(items: &mut [Vec<T>], rows: u32, cols: u32, h: u
                 let p = snake_index(cols, r, c) as usize * h;
                 column.extend_from_slice(&buf[p..p + h]);
             }
-            column.sort_by(cmp_opt_key);
+            column.sort();
             for (r, keys) in (0..rows).zip(column.chunks_exact(h)) {
                 let p = snake_index(cols, r, c) as usize * h;
                 buf[p..p + h].copy_from_slice(keys);
@@ -126,31 +155,25 @@ pub fn shearsort<T: Ord + Copy>(items: &mut [Vec<T>], rows: u32, cols: u32, h: u
             "shearsort failed to converge in {max_phases} phases"
         );
     }
-
-    for (slot, node) in items.iter_mut().zip(buf.chunks_exact(h)) {
-        slot.clear();
-        slot.extend(node.iter().flatten());
-    }
     cost
-}
-
-/// `None` sorts after every `Some` (acts as +infinity padding).
-#[inline]
-fn cmp_opt_key<T: Ord>(a: &Option<T>, b: &Option<T>) -> std::cmp::Ordering {
-    match (a, b) {
-        (Some(x), Some(y)) => x.cmp(y),
-        (Some(_), None) => std::cmp::Ordering::Less,
-        (None, Some(_)) => std::cmp::Ordering::Greater,
-        (None, None) => std::cmp::Ordering::Equal,
-    }
 }
 
 /// The round-by-round merge-split network the flat passes replace, kept
 /// as the differential oracle for [`shearsort`].
 #[cfg(test)]
 mod oracle {
-    use super::{cmp_opt_key, SortCost};
+    use super::SortCost;
     use crate::snake::snake_index;
+
+    /// `None` sorts after every `Some` (acts as +infinity padding).
+    fn cmp_opt_key<T: Ord>(a: &Option<T>, b: &Option<T>) -> std::cmp::Ordering {
+        match (a, b) {
+            (Some(x), Some(y)) => x.cmp(y),
+            (Some(_), None) => std::cmp::Ordering::Less,
+            (None, Some(_)) => std::cmp::Ordering::Greater,
+            (None, None) => std::cmp::Ordering::Equal,
+        }
+    }
 
     /// [`super::shearsort`] computed with `L` explicit merge-split
     /// rounds per line over per-node `Vec`s.

@@ -8,8 +8,13 @@
 //!   `O(l·√n·log n)` (the historical default; kept for comparison and
 //!   as the T17 baseline).
 //! - [`Sorter::Columnsort`] — the step-simulated Leighton columnsort of
-//!   [`crate::columnsort::columnsort_mesh`], in the `O(l·√n)` class the
-//!   paper's accounting assumes. **The default.**
+//!   [`crate::columnsort::columnsort_mesh_with`], in the `O(l·√n)` class
+//!   the paper's accounting assumes. **The default.** Its block sorts
+//!   run shearsort's passes in place.
+//!
+//! [`Sorter::sort`] is the one standalone entry point: it supplies a
+//! throwaway engine pool and route memo, which an execution context
+//! otherwise owns and passes to [`Sorter::sort_with`].
 //!
 //! There is no process-wide override: callers pick a sorter per run
 //! (`SimConfig::with_sorter`, `ExecCtx::new`) and get
@@ -128,5 +133,53 @@ mod tests {
     #[test]
     fn default_is_columnsort() {
         assert_eq!(Sorter::default(), Sorter::Columnsort);
+    }
+
+    /// Both sorters' full `SortCost` on fixed seeded inputs, pinned to
+    /// the values the implementation has always charged: the CULLING
+    /// shape (64×64, h = 4), non-square meshes at h > 1, a shape with no
+    /// feasible block plan (7×7, columnsort's snake line sort) and a
+    /// single row. `(steps, analytic_steps, phases)` per sorter.
+    #[test]
+    fn sort_costs_are_pinned() {
+        type Pin = (u64, u64, u32);
+        let cases: [((u32, u32, usize), Pin, Pin); 5] = [
+            ((64, 64, 4), (3328, 512, 7), (2101, 512, 8)),
+            ((16, 64, 3), (1152, 240, 5), (1258, 240, 8)),
+            ((12, 6, 2), (120, 36, 4), (187, 36, 8)),
+            ((7, 7, 1), (49, 14, 4), (49, 14, 1)),
+            ((1, 16, 2), (32, 34, 1), (72, 34, 8)),
+        ];
+        for ((rows, cols, h), shear, column) in cases {
+            let mut state = (rows as u64) << 32 | (cols as u64) << 8 | h as u64;
+            let items: Vec<Vec<u64>> = (0..rows * cols)
+                .map(|_| {
+                    (0..h)
+                        .map(|_| {
+                            state = state
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            state >> 33
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut expect: Vec<u64> = items.iter().flatten().copied().collect();
+            expect.sort_unstable();
+            for (sorter, (steps, analytic_steps, phases)) in
+                [(Sorter::Shearsort, shear), (Sorter::Columnsort, column)]
+            {
+                let mut got = items.clone();
+                let cost = sorter.sort(&mut got, rows, cols, h);
+                let want = SortCost {
+                    steps,
+                    analytic_steps,
+                    phases,
+                };
+                assert_eq!(cost, want, "{sorter} on {rows}×{cols}, h = {h}");
+                assert!(got.iter().all(|v| v.len() == h));
+                assert_eq!(got.concat(), expect, "{sorter} on {rows}×{cols}, h = {h}");
+            }
+        }
     }
 }

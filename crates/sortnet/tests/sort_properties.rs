@@ -69,31 +69,9 @@ proptest! {
     }
 }
 
-mod columnsort_props {
-    use prasim_sortnet::columnsort::columnsort;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Columnsort agrees with the standard sort for arbitrary data on
-        /// power-of-two meshes with partial fill.
-        #[test]
-        fn matches_std_sort(
-            side in prop::sample::select(&[4u32, 8, 16, 32]),
-            h in 1usize..5,
-            data in prop::collection::vec(any::<u32>(), 1..800),
-        ) {
-            let cap = (side * side) as usize * h;
-            let mut v: Vec<u32> = data.into_iter().take(cap).collect();
-            let mut expect = v.clone();
-            expect.sort_unstable();
-            columnsort(&mut v, side, side, h);
-            prop_assert_eq!(v, expect);
-        }
-    }
-}
-
 mod sorter_agreement {
-    use prasim_sortnet::{columnsort_mesh, shearsort::shearsort, Sorter};
+    use prasim_mesh::pool::EnginePool;
+    use prasim_sortnet::{columnsort_mesh_with, shearsort::shearsort, RouteMemo, Sorter};
     use proptest::prelude::*;
 
     proptest! {
@@ -118,7 +96,7 @@ mod sorter_agreement {
             let mut by_shear = items.clone();
             shearsort(&mut by_shear, rows, cols, h);
             let mut by_col = items.clone();
-            columnsort_mesh(&mut by_col, rows, cols, h);
+            Sorter::Columnsort.sort(&mut by_col, rows, cols, h);
 
             let shear_flat: Vec<u32> = by_shear.iter().flatten().copied().collect();
             let col_flat: Vec<u32> = by_col.iter().flatten().copied().collect();
@@ -150,7 +128,14 @@ mod sorter_agreement {
                 let mut b = items.clone();
                 let cb = match sorter {
                     Sorter::Shearsort => shearsort(&mut b, rows, cols, 2),
-                    Sorter::Columnsort => columnsort_mesh(&mut b, rows, cols, 2),
+                    Sorter::Columnsort => columnsort_mesh_with(
+                        &mut b,
+                        rows,
+                        cols,
+                        2,
+                        &mut EnginePool::new(),
+                        &mut RouteMemo::new(),
+                    ),
                 };
                 prop_assert_eq!(a, b);
                 prop_assert_eq!(ca, cb);

@@ -27,6 +27,8 @@
 //! (default: the step-simulated columnsort; `shearsort` restores the
 //! previous merge-split shearsort). Both are parsed once per command
 //! and passed down in the simulator's or router's execution context.
+//! A flag the command does not list above, a value flag given without
+//! a value, or a switch given one exits 2 with an error naming it.
 
 use prasim::bibd::{Bibd, BibdSubgraph};
 use prasim::core::{workload, PramMeshSim, ReadPolicy, SimConfig};
@@ -104,6 +106,38 @@ impl Args {
         self.switches.iter().any(|s| s == switch)
     }
 
+    /// Checks every flag against the command's accepted value flags and
+    /// switches: a value flag given without a value, a switch given one,
+    /// and an unknown name are each an error naming the flag.
+    fn check(&self, values: &[&str], switches: &[&str]) -> Result<(), String> {
+        for s in &self.switches {
+            if values.contains(&s.as_str()) {
+                return Err(format!("--{s} expects a value"));
+            }
+            if !switches.contains(&s.as_str()) {
+                return Err(format!("unknown flag --{s}"));
+            }
+        }
+        let mut keys: Vec<&String> = self.flags.keys().collect();
+        keys.sort();
+        for k in keys {
+            if switches.contains(&k.as_str()) {
+                return Err(format!("--{k} takes no value"));
+            }
+            if !values.contains(&k.as_str()) {
+                return Err(format!("unknown flag --{k}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Args::check`], exiting 2 on the first bad flag.
+    fn accept(&self, values: &[&str], switches: &[&str]) {
+        if let Err(e) = self.check(values, switches) {
+            die(&e);
+        }
+    }
+
     /// `--threads` (default: available parallelism).
     fn threads(&self) -> usize {
         let default = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -146,6 +180,32 @@ fn main() -> ExitCode {
     }
 }
 
+/// The value flags `prasim simulate` accepts (its one switch is
+/// `--analytic`).
+const SIMULATE_FLAGS: &[&str] = &[
+    "n",
+    "memory",
+    "q",
+    "k",
+    "steps",
+    "workload",
+    "seed",
+    "slack",
+    "policy",
+    "threads",
+    "sorter",
+    "dead",
+    "sever",
+    "lossy",
+    "corrupt",
+    "freeze",
+    "fault-seed",
+    "fault-from",
+];
+
+/// The value flags `prasim route` accepts.
+const ROUTE_FLAGS: &[&str] = &["n", "l1", "seed", "algo", "parts", "threads", "sorter"];
+
 const HELP: &str = "prasim — constructive deterministic PRAM simulation on a mesh
 
 commands:
@@ -158,6 +218,7 @@ commands:
 see the source header of src/bin/prasim.rs for all flags";
 
 fn cmd_simulate(args: &Args) -> ExitCode {
+    args.accept(SIMULATE_FLAGS, &["analytic"]);
     let n = args.get_u64("n", 1024);
     let memory = args.get_u64("memory", 9000);
     let policy = match args.get_str("policy", "freshest") {
@@ -323,6 +384,7 @@ fn cmd_simulate(args: &Args) -> ExitCode {
 }
 
 fn cmd_structure(args: &Args) -> ExitCode {
+    args.accept(&["n", "d", "q", "k"], &[]);
     let n = args.get_u64("n", 1024);
     let d = args.get_u64("d", 5) as u32;
     let q = args.get_u64("q", 3);
@@ -365,6 +427,7 @@ fn cmd_structure(args: &Args) -> ExitCode {
 }
 
 fn cmd_route(args: &Args) -> ExitCode {
+    args.accept(ROUTE_FLAGS, &[]);
     let n = args.get_u64("n", 1024);
     let shape = match MeshShape::square_of(n) {
         Some(s) => s,
@@ -409,6 +472,7 @@ fn cmd_route(args: &Args) -> ExitCode {
 }
 
 fn cmd_bibd(args: &Args) -> ExitCode {
+    args.accept(&["q", "d", "m"], &["dot"]);
     let q = args.get_u64("q", 3);
     let d = args.get_u64("d", 2) as u32;
     let bibd = match Bibd::new(q, d) {
@@ -472,5 +536,52 @@ mod tests {
         let a = args(&["bibd", "--dot"]);
         assert!(a.has("dot"));
         assert!(a.flags.is_empty());
+    }
+
+    #[test]
+    fn accepts_listed_flags() {
+        let a = args(&["simulate", "--n", "256", "--analytic", "--fault-seed", "3"]);
+        assert_eq!(a.check(SIMULATE_FLAGS, &["analytic"]), Ok(()));
+        let a = args(&["route", "--algo", "hier", "--threads", "2"]);
+        assert_eq!(a.check(ROUTE_FLAGS, &[]), Ok(()));
+        assert_eq!(args(&["bibd", "--dot"]).check(&["q"], &["dot"]), Ok(()));
+    }
+
+    #[test]
+    fn rejects_value_flag_without_value() {
+        let a = args(&["simulate", "--n", "--steps", "1"]);
+        assert_eq!(
+            a.check(SIMULATE_FLAGS, &["analytic"]),
+            Err("--n expects a value".to_string())
+        );
+        let a = args(&["simulate", "--sorter"]);
+        assert_eq!(
+            a.check(SIMULATE_FLAGS, &["analytic"]),
+            Err("--sorter expects a value".to_string())
+        );
+        let a = args(&["route", "--algo"]);
+        assert_eq!(
+            a.check(ROUTE_FLAGS, &[]),
+            Err("--algo expects a value".to_string())
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_switch_values() {
+        let a = args(&["simulate", "--thread", "2"]);
+        assert_eq!(
+            a.check(SIMULATE_FLAGS, &["analytic"]),
+            Err("unknown flag --thread".to_string())
+        );
+        let a = args(&["route", "--analytic"]);
+        assert_eq!(
+            a.check(ROUTE_FLAGS, &[]),
+            Err("unknown flag --analytic".to_string())
+        );
+        let a = args(&["bibd", "--dot", "yes"]);
+        assert_eq!(
+            a.check(&["q", "d", "m"], &["dot"]),
+            Err("--dot takes no value".to_string())
+        );
     }
 }
